@@ -65,7 +65,6 @@ from .paths import (
     paley_wiener,
     project_coefficients,
     sample_brownian,
-    sample_brownian_ensemble,
 )
 from .spectral import (
     QuadraticFormMatrix,

@@ -121,7 +121,10 @@ def cmd_spectrum(args) -> int:
     fld = harness.resolve_field(cfg)
     if not hasattr(fld, "matrix"):
         raise ConfigError("spectrum requires a linear field")
-    report = discretized_L_spectrum(fld, TimeGrid(cfg.grid), args.count)
+    try:
+        report = discretized_L_spectrum(fld, TimeGrid(cfg.grid), args.count)
+    except ValueError as exc:  # a --count outside 1..grid
+        raise ConfigError(str(exc)) from exc
     _emit(lambda f: harness.emit_spectrum(report, f), cfg.out)
     return 0
 

@@ -150,6 +150,14 @@ def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
+def _trapezoid_weights(grid: TimeGrid) -> np.ndarray:
+    """Composite trapezoidal weights on the grid nodes: w . g ~ int_0^1 g."""
+    w = np.full(grid.num_steps + 1, grid.dt)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 def evaluate_G(field: VectorField, path: SamplePath) -> SamplePath:
     """Cameron-Martin representative G(omega)(t) = int_0^t alpha(omega(s)) ds."""
     _check_field_path(field, path)
@@ -200,13 +208,6 @@ class DiscreteKernel:
         prim = _cumtrapz(np.asarray(phi_values, dtype=float), self.grid.dt)
         return np.einsum("kji,ki->kj", self.jacobians, prim)
 
-    def _trapezoid_weights(self) -> np.ndarray:
-        n = self.grid.num_steps
-        w = np.full(n + 1, self.grid.dt)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
-
     def hs_norm_squared(self) -> float:
         """Squared Frobenius norm of the kernel under trapezoid quadrature.
 
@@ -214,7 +215,7 @@ class DiscreteKernel:
         half-weight diagonal; the double sum is evaluated without
         materializing the (N+1)^2 kernel.
         """
-        w = self._trapezoid_weights()
+        w = _trapezoid_weights(self.grid)
         inner = np.cumsum(w) - 0.5 * w
         frob = np.einsum("kji,kji->k", self.jacobians, self.jacobians)
         return float(np.sum(w * frob * inner))
@@ -238,7 +239,7 @@ class DiscreteKernel:
         keeps the half-weight diagonal linearly instead of squaring it.
         """
         n = self.grid.num_steps
-        w = self._trapezoid_weights()
+        w = _trapezoid_weights(self.grid)
         chi = np.zeros((n + 1, n + 1))
         rows, cols = np.tril_indices(n + 1, k=-1)
         chi[rows, cols] = 1.0

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -141,12 +141,6 @@ def sample_brownian(
     dw = brownian_increments(grid, dim, rng, path_index)
     values = np.concatenate([np.zeros((1, dim)), np.cumsum(dw, axis=0)])
     return SamplePath(grid, values)
-
-
-def sample_brownian_ensemble(
-    grid: TimeGrid, dim: int, rng: RngSpec, path_indices: Iterable[int]
-) -> list[SamplePath]:
-    return [sample_brownian(grid, dim, rng, i) for i in path_indices]
 
 
 def _check_dims(path: SamplePath, elem_dim: int) -> None:

@@ -9,21 +9,26 @@ two scalar problems whose closed-form eigenvalues are
 
 with eigenfunctions sin((pi/2 + n pi) t) u_j.  The numeric route discretizes
 the double-integral action gamma -> a int_0^t int_s^1 gamma(r) dr ds by
-composite trapezoidal matrices, symmetrizes, and eigensolves; the square
-roots of the eigenvalues are summable-squared but not summable, which is
-the trace-class failure the diagnostics expose.
+composite trapezoidal sums, symmetrizes, and finds the top eigenvalues
+with a matrix-free Lanczos solve (SciPy is imported on the first solve,
+not with the package); the square roots of the eigenvalues are
+summable-squared but not summable, which is the trace-class failure the
+diagnostics expose.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
 
-from .fields import LinearField
+from .fields import LinearField, _cumtrapz, _trapezoid_weights
 from .paths import TimeGrid
+
+if TYPE_CHECKING:  # pragma: no cover
+    from scipy.sparse.linalg import LinearOperator
 
 
 @dataclass(frozen=True)
@@ -96,10 +101,6 @@ class SpectrumReport:
             )
 
 
-def closed_form_eigenvalue(a_j: float, n: int) -> float:
-    return 4.0 * a_j / (math.pi**2 * (1 + 2 * n) ** 2)
-
-
 def eigenfunction_values(
     t: np.ndarray, n: int, j: int, form: QuadraticFormMatrix
 ) -> np.ndarray:
@@ -119,32 +120,54 @@ def closed_form_spectrum(form: QuadraticFormMatrix, count: int) -> SpectrumRepor
     return SpectrumReport(form=form, closed=closed, singular_partial_sums=singular)
 
 
-def _cumtrapz_matrix(grid: TimeGrid) -> np.ndarray:
-    """Matrix of the cumulative trapezoid map: row k integrates up to t_k."""
-    n = grid.num_steps
-    dt = grid.dt
-    mat = np.tril(np.full((n + 1, n + 1), dt), k=-1)
-    mat[:, 0] *= 0.5
-    idx = np.arange(1, n + 1)
-    mat[idx, idx] = 0.5 * dt
-    mat[0, 0] = 0.0
-    return mat
+def _cumtrapz_adjoint(values: np.ndarray, dt: float) -> np.ndarray:
+    """Transpose of the cumulative trapezoid map along axis 0.
+
+    The map sends g to c with c_k = dt (g_0 / 2 + g_1 + ... + g_{k-1} + g_k / 2)
+    and c_0 = 0, so its transpose sends h to dt (h_j / 2 + sum_{k>j} h_k) for
+    j >= 1 and to dt / 2 sum_{k>=1} h_k for j = 0.
+    """
+    suffix = np.cumsum(values[::-1], axis=0)[::-1]
+    out = dt * (suffix - 0.5 * values)
+    out[0] = 0.5 * dt * (suffix[0] - values[0])
+    return out
 
 
-def discretized_operator(grid: TimeGrid) -> np.ndarray:
+def discretized_operator(grid: TimeGrid) -> "LinearOperator":
     """Symmetrized discretization of gamma -> int_0^t int_s^1 gamma(r) dr ds.
 
-    Composite trapezoidal double integration (the inner integral from s to 1
-    is total minus cumulative), then (M + M^T) / 2: the continuous operator
-    is self-adjoint, so any asymmetry is pure discretization error.
+    Composite trapezoidal double integration: with C the cumulative
+    trapezoid map and w the trapezoidal weights, the inner integral from s
+    to 1 is total minus cumulative, M = C (1 w^T - C).  The continuous
+    operator is self-adjoint, so any asymmetry is pure discretization error
+    and the operator returned is (M + M^T) / 2.  It is matrix-free: each
+    product costs two cumulative sums and two of their transposes, O(N).
     """
-    ct = _cumtrapz_matrix(grid)
-    weights = np.full(grid.num_steps + 1, grid.dt)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    crev = weights[None, :] - ct
-    m = ct @ crev
-    return 0.5 * (m + m.T)
+    from scipy.sparse.linalg import LinearOperator
+
+    dt = grid.dt
+    weights = _trapezoid_weights(grid)
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float).reshape(-1)
+        m_v = _cumtrapz(weights @ v - _cumtrapz(v, dt), dt)
+        ct_v = _cumtrapz_adjoint(v, dt)
+        mt_v = weights * ct_v.sum() - _cumtrapz_adjoint(ct_v, dt)
+        return 0.5 * (m_v + mt_v)
+
+    dim = grid.num_steps + 1
+    return LinearOperator((dim, dim), matvec=matvec, dtype=float)
+
+
+def _operator_trace(grid: TimeGrid) -> float:
+    """trace((M + M^T) / 2) = sum_k (C 1)_k w_k - N (dt / 2)^2 in closed form.
+
+    trace(C 1 w^T) is the first sum; C is lower triangular with diagonal
+    (0, dt/2, ..., dt/2), so trace(C C) = N (dt / 2)^2.
+    """
+    ones = np.ones(grid.num_steps + 1)
+    ct_one = _cumtrapz(ones, grid.dt)
+    return float(ct_one @ _trapezoid_weights(grid) - grid.num_steps * (0.5 * grid.dt) ** 2)
 
 
 def discretized_L_spectrum(
@@ -153,7 +176,10 @@ def discretized_L_spectrum(
     """Top eigenvalues of the discretized L next to the closed forms.
 
     The 2x2 block structure is handled by diagonalizing A first and scaling
-    one scalar eigenproblem by each a_j.
+    one scalar eigenproblem by each a_j.  The scalar problem is solved by
+    ARPACK's implicitly restarted Lanczos (``eigsh``) from a fixed start
+    vector, so reruns are byte-identical; eigenvalues come in decreasing
+    order and each eigenvector is signed positive at t = 1.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -161,23 +187,25 @@ def discretized_L_spectrum(
         raise ValueError(
             f"count {count} exceeds the rank of a grid with {grid.num_steps} cells"
         )
+    from scipy.sparse.linalg import eigsh
+
     form = matrix_A(field)
     report = closed_form_spectrum(form, count)
-    msym = discretized_operator(grid)
-    trace_scalar = float(np.trace(msym))
-    dim = msym.shape[0]
-    vals, vecs = scipy.linalg.eigh(
-        msym, subset_by_index=[dim - count, dim - 1], driver="evr"
-    )
-    vals = vals[::-1].copy()       # descending
-    vecs = vecs[:, ::-1].copy()
+    op = discretized_operator(grid)
+    # ARPACK's default start vector is random; a fixed generic one keeps
+    # reruns byte-identical
+    v0 = np.random.default_rng(0).standard_normal(op.shape[0])
+    vals, vecs = eigsh(op, k=count, which="LA", tol=0, v0=v0)
+    order = np.argsort(vals)[::-1]
+    vals = vals[order]
+    vecs = vecs[:, order] * np.where(vecs[-1, order] < 0.0, -1.0, 1.0)
     numeric = form.eigenvalues[None, :] * vals[:, None]
     return SpectrumReport(
         form=form,
         closed=report.closed,
         singular_partial_sums=report.singular_partial_sums,
         numeric=numeric,
-        numeric_trace=float(form.eigenvalues.sum() * trace_scalar),
+        numeric_trace=float(form.eigenvalues.sum() * _operator_trace(grid)),
         scalar_eigenvectors=vecs,
         grid=grid,
     )

@@ -306,6 +306,16 @@ class TestCli:
     def test_spectrum_requires_linear_field(self):
         assert self.run_cli("spectrum", "--field", "id1d", "--grid", "64") == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--count", "0"], "count must be >= 1"), (["--grid", "8", "--count", "9"], "rank")],
+    )
+    def test_spectrum_count_out_of_range(self, capsys, flags, message):
+        assert self.run_cli("spectrum", "--field", "linear:1,0,0,1", *flags) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error:") and message in err[0]
+
     def test_trace_csv(self, tmp_path):
         out = tmp_path / "tr.csv"
         code = self.run_cli(

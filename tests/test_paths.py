@@ -8,6 +8,7 @@ from ogawa_lab import (
     SamplePath,
     TimeGrid,
     approximate_wiener,
+    brownian_increments,
     component_trig_basis,
     dump_path_csv,
     haar_basis,
@@ -119,14 +120,17 @@ class TestPaleyWiener:
         # mean 0, variance ||e||^2 = 1, covariance delta_ij
         grid = TimeGrid(2**11)
         fam = component_trig_basis(1)
-        elems = fam.elements(3)
         rng = RngSpec(31337)
-        coeffs = np.array(
-            [
-                [paley_wiener(sample_brownian(grid, 1, rng, i), el) for el in elems]
-                for i in range(20000)
-            ]
-        )
+        # one phi stack and one product per block of paths; row i is
+        # paley_wiener(path i, el) for the three elements
+        phi = fam.phi_stack(grid.times[:-1], 3)[:, :, 0]  # (3, N)
+        blocks = []
+        for start in range(0, 20000, 1000):
+            dw = np.stack(
+                [brownian_increments(grid, 1, rng, i)[:, 0] for i in range(start, start + 1000)]
+            )
+            blocks.append(dw @ phi.T)
+        coeffs = np.concatenate(blocks)
         m = coeffs.shape[0]
         for j in range(3):
             se = coeffs[:, j].std(ddof=1) / np.sqrt(m)

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import ogawa_lab
 from ogawa_lab import (
     LinearField,
     RngSpec,
@@ -16,8 +22,32 @@ from ogawa_lab import (
     sample_brownian,
     trace_class_diagnostic,
 )
+from ogawa_lab.spectral import discretized_operator
 
 IDENTITY = LinearField(1, 0, 0, 1)
+
+
+def _cumtrapz_matrix(grid: TimeGrid) -> np.ndarray:
+    """Matrix of the cumulative trapezoid map: row k integrates up to t_k."""
+    n = grid.num_steps
+    dt = grid.dt
+    mat = np.tril(np.full((n + 1, n + 1), dt), k=-1)
+    mat[:, 0] *= 0.5
+    idx = np.arange(1, n + 1)
+    mat[idx, idx] = 0.5 * dt
+    mat[0, 0] = 0.0
+    return mat
+
+
+def dense_operator(grid: TimeGrid) -> np.ndarray:
+    """Dense reference for the matrix-free operator: (M + M^T) / 2, M = C (1 w^T - C)."""
+    ct = _cumtrapz_matrix(grid)
+    weights = np.full(grid.num_steps + 1, grid.dt)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    crev = weights[None, :] - ct
+    m = ct @ crev
+    return 0.5 * (m + m.T)
 
 
 class TestMatrixA:
@@ -106,6 +136,55 @@ class TestDiscretized:
     def test_count_exceeding_rank(self):
         with pytest.raises(ValueError, match="rank"):
             discretized_L_spectrum(IDENTITY, TimeGrid(8), 9)
+
+
+class TestMatrixFreeOperator:
+    """The matrix-free route against the dense trapezoid oracle."""
+
+    @pytest.mark.parametrize("steps", [8, 64, 1024])
+    def test_matvec_matches_dense(self, steps):
+        grid = TimeGrid(steps)
+        dense = dense_operator(grid)
+        op = discretized_operator(grid)
+        v = np.random.default_rng(steps).standard_normal(steps + 1)
+        ref = dense @ v
+        assert np.abs(op.matvec(v) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("steps, count", [(8, 3), (8, 8), (64, 8), (1024, 8)])
+    def test_eigenvalues_match_dense(self, steps, count):
+        grid = TimeGrid(steps)
+        ref = scipy.linalg.eigh(dense_operator(grid), eigvals_only=True)[::-1][:count]
+        rep = discretized_L_spectrum(IDENTITY, grid, count)
+        assert np.all(np.abs(rep.numeric[:, 0] - ref) <= 1e-12 * np.abs(ref))
+        assert np.array_equal(rep.numeric[:, 0], rep.numeric[:, 1])
+
+    @pytest.mark.parametrize("steps", [8, 64, 1024])
+    def test_trace_matches_dense(self, steps):
+        grid = TimeGrid(steps)
+        rep = discretized_L_spectrum(IDENTITY, grid, 1)
+        assert abs(rep.numeric_trace - 2 * np.trace(dense_operator(grid))) <= 1e-14
+
+    @pytest.mark.parametrize("steps", [8, 64, 1024])
+    def test_reruns_are_byte_identical(self, steps):
+        fld = LinearField(0.3, -1.1, 0.7, 0.5)
+        first = discretized_L_spectrum(fld, TimeGrid(steps), min(steps, 8))
+        second = discretized_L_spectrum(fld, TimeGrid(steps), min(steps, 8))
+        assert first.numeric.tobytes() == second.numeric.tobytes()
+        assert first.scalar_eigenvectors.tobytes() == second.scalar_eigenvectors.tobytes()
+        assert np.all(first.scalar_eigenvectors[-1] > 0.0)
+
+
+def test_import_does_not_load_scipy_solvers():
+    src = str(Path(ogawa_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, ogawa_lab; "
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestTraceClassDiagnostic:
