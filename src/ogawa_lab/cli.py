@@ -134,6 +134,8 @@ def cmd_trace(args) -> int:
     fld = harness.resolve_field(cfg)
     if not fld.constant_jacobian:
         raise ConfigError("trace trajectories are defined for constant-Jacobian fields")
+    if args.n_max < 1:
+        raise ConfigError(f"--n-max must be >= 1, got {args.n_max}")
     stages = harness.resolve_stages(
         cfg.basis_a, cfg.order_a, fld.dim, [args.n_max], cfg.grid
     )

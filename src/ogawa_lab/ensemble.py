@@ -1,12 +1,12 @@
 """Vectorized ledger evaluation over path ensembles.
 
-The builder draws each path from its own counter-derived stream (so results
-do not depend on chunking or evaluation order), shares one ensemble across
-all requested basis/order combinations (common random numbers), and reduces
-everything in fixed path order.  Basis prefix matrices are precomputed once
-per truncation stage; per-chunk work is a handful of GEMMs, which keeps the
-default experiment sizes (10^4 paths on a 2^12 grid) in the tens of
-seconds.
+Each path is drawn from its own counter-derived stream, so its increments do
+not depend on chunking; the ledger columns come from GEMMs over whole
+chunks, so their bytes are fixed per BLAS build and chunk shape.  All
+requested basis/order combinations share one ensemble (common random
+numbers), and every reduction runs in fixed path order.  Each stage list
+gets one plan: basis stacks and trace entries are evaluated once at its
+largest prefix, and every stage reads leading-row views of them.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ class EnsembleLedger:
     gprime: np.ndarray   # (M, S); NaN when not evaluated
     ito: np.ndarray      # (M,)
     strat: np.ndarray    # (M,)
+    trace_entries: np.ndarray | None = None  # (n,) largest stage; None if path-dependent
 
     @property
     def num_paths(self) -> int:
@@ -56,31 +57,42 @@ class EnsembleLedger:
 @dataclass
 class _StagePlan:
     stage: TruncationStage
-    phi_left: np.ndarray   # (n, N, d) elements at left nodes
-    de: np.ndarray         # (n, N, d) exact cell integrals of phi
-    phi_mid: np.ndarray | None  # (n, N, d) for path-dependent traces
+    phi_left: np.ndarray   # (n, N, d) leading rows of the shared left-node stack
+    de: np.ndarray         # (n, N, d) leading rows of the shared exact cell integrals
+    phi_mid: np.ndarray | None  # (n, N, d) leading rows, for path-dependent traces
     prim_mid: np.ndarray | None
-    r_value: float | None  # path-independent trace for constant Jacobians
+    r_value: float | None  # sum of the first n shared trace entries (constant Jacobians)
 
 
 def _plan_stages(
     field: VectorField, grid: TimeGrid, stages: Sequence[TruncationStage]
-) -> list[_StagePlan]:
-    plans = []
-    for st in stages:
+) -> tuple[list[_StagePlan], np.ndarray | None]:
+    """Stage plans, and the trace entries of the largest stage.  Stages of one
+    family and order are prefixes of one enumeration (per-level ``plin``
+    stages are not), so their stacks are evaluated once, at the largest n."""
+    shared: dict = {}  # (family, order) -> stacks, largest stage's first
+    for st in sorted(stages, key=lambda st: st.n_elements, reverse=True):
         fam, n, order = st.family, st.n_elements, st.order
+        if (fam, order) in shared:
+            continue
         phi_left = fam.phi_stack(grid.times[:-1], n, order)
         de = fam.primitive_cell_increments(grid, n, order)
         if field.constant_jacobian:
             probe = SamplePath.zero(grid, field.dim)
-            r_value = float(np.sum(diagonal_entries(field, probe, fam, n, order)))
-            phi_mid = prim_mid = None
+            trace = (diagonal_entries(field, probe, fam, n, order), None, None)
         else:
-            r_value = None
-            phi_mid = fam.phi_stack(grid.midpoints, n, order)
-            prim_mid = fam.primitive_stack(grid.midpoints, n, order)
+            mids = grid.midpoints
+            trace = (None, fam.phi_stack(mids, n, order), fam.primitive_stack(mids, n, order))
+        shared[fam, order] = (phi_left, de, *trace)
+
+    plans = []
+    for st in stages:
+        phi_left, de, entries, phi_mid, prim_mid = (
+            None if a is None else a[: st.n_elements] for a in shared[st.family, st.order]
+        )
+        r_value = None if entries is None else float(np.sum(entries))
         plans.append(_StagePlan(st, phi_left, de, phi_mid, prim_mid, r_value))
-    return plans
+    return plans, next(iter(shared.values()))[2]
 
 
 def build_ensemble_ledgers(
@@ -100,9 +112,9 @@ def build_ensemble_ledgers(
     dim = field.dim
     n_steps = grid.num_steps
     dt = grid.dt
-    plan_lists = [_plan_stages(field, grid, stages) for stages in stage_lists]
+    planned = [_plan_stages(field, grid, stages) for stages in stage_lists]
+    plan_lists = [plans for plans, _ in planned]
 
-    num_stagesets = len(plan_lists)
     out_g = [np.empty((num_paths, len(p))) for p in plan_lists]
     out_r = [np.empty((num_paths, len(p))) for p in plan_lists]
     out_gp = [np.full((num_paths, len(p)), np.nan) for p in plan_lists]
@@ -159,7 +171,7 @@ def build_ensemble_ledgers(
                     out_gp[si][start:stop, pi] = np.einsum("mkd,mkd->m", aavg, dwn)
 
     ledgers = []
-    for si, plans in enumerate(plan_lists):
+    for si, (plans, trace_entries) in enumerate(planned):
         ledgers.append(
             EnsembleLedger(
                 basis=plans[0].stage.family.name,
@@ -171,6 +183,7 @@ def build_ensemble_ledgers(
                 gprime=out_gp[si],
                 ito=ito,
                 strat=strat,
+                trace_entries=trace_entries,
             )
         )
     return ledgers

@@ -27,10 +27,11 @@ from typing import Sequence
 import numpy as np
 
 from .bases import EnumerationOrder, family_from_name, piecewise_linear_basis
-from .engine import TruncationStage, diagonal_entries
+# perfbench/spans.py traces diagonal_entries under every module that imports it
+from .engine import TruncationStage, diagonal_entries  # noqa: F401
 from .ensemble import EnsembleLedger, build_ensemble_ledgers
 from .fields import RamerCheck, VectorField, field_from_name, gaussian_ramer_check
-from .paths import RngSpec, SamplePath, TimeGrid
+from .paths import RngSpec, TimeGrid
 
 
 class ConfigError(Exception):
@@ -145,6 +146,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"paths must be >= 1, got {cfg.paths}")
     if len(cfg.schedule) == 0:
         raise ConfigError("schedule must be nonempty")
+    if min(cfg.schedule) < 1:
+        raise ConfigError(f"schedule entries must be >= 1, got {cfg.schedule}")
     if any(b <= a for a, b in zip(cfg.schedule, cfg.schedule[1:])):
         raise ConfigError(f"schedule must be strictly increasing, got {cfg.schedule}")
 
@@ -314,23 +317,12 @@ def run_order_dependence(cfg: ExperimentConfig) -> OrderDependenceResult:
     fld = resolve_field(cfg)
     if not fld.constant_jacobian:
         raise ConfigError("order dependence is defined for constant-Jacobian fields")
-    report = run_convergence(cfg)
+    report, ledgers = run_convergence(cfg, return_ledgers=True)
 
-    n_max = max(cfg.schedule)
-    grid = TimeGrid(cfg.grid)
-    probe = SamplePath.zero(grid, fld.dim)
     r_rows: list[tuple[str, int, float]] = []
-    for basis_spec, order_spec in (
-        (cfg.basis_a, cfg.order_a),
-        (cfg.basis_b, cfg.order_b),
-    ):
-        stages = resolve_stages(basis_spec, order_spec, fld.dim, [n_max], cfg.grid)
-        st = stages[0]
-        entries = diagonal_entries(fld, probe, st.family, st.n_elements, st.order)
-        trajectory = np.cumsum(entries)
-        r_rows.extend(
-            (st.order.spec, i + 1, float(trajectory[i])) for i in range(st.n_elements)
-        )
+    for led in ledgers:
+        trajectory = np.cumsum(led.trace_entries)
+        r_rows.extend((led.order, i + 1, float(r)) for i, r in enumerate(trajectory))
     return OrderDependenceResult(report, tuple(r_rows))
 
 

@@ -11,7 +11,7 @@ from ogawa_lab import (
     SamplePath,
     TimeGrid,
     TruncationStage,
-    VectorField,
+    adversarial,
     build_ensemble_ledgers,
     build_ledger,
     component_trig_basis,
@@ -34,28 +34,7 @@ from ogawa_lab import (
     wong_zakai_sum,
 )
 
-
-def constant_field(dim, c):
-    vec = np.full(dim, float(c))
-    return VectorField(
-        dim,
-        lambda x: np.broadcast_to(vec, x.shape).copy(),
-        lambda x: np.zeros(x.shape[:-1] + (dim, dim)),
-        constant_jacobian=True,
-    )
-
-
-def swirl_field():
-    def alpha(x):
-        return np.stack([np.sin(x[..., 1]), np.cos(x[..., 0])], axis=-1)
-
-    def jac(x):
-        out = np.zeros(x.shape[:-1] + (2, 2))
-        out[..., 0, 1] = np.cos(x[..., 1])
-        out[..., 1, 0] = -np.sin(x[..., 0])
-        return out
-
-    return VectorField(2, alpha, jac)
+from field_helpers import constant_field, skew_field, swirl_field
 
 
 class TestPartialSums:
@@ -299,6 +278,12 @@ class TestLedger:
 
 
 class TestEnsembleMatchesReference:
+    FAMILIES = {
+        "psi": component_trig_basis(2),
+        "xi": mixed_trig_basis(),
+        "haar": haar_basis(2),
+    }
+
     @pytest.mark.parametrize(
         "field,basis_name",
         [
@@ -311,17 +296,43 @@ class TestEnsembleMatchesReference:
         fld = field or swirl_field()
         grid = TimeGrid(256)
         rng = RngSpec(19)
-        fam = {
-            "psi": component_trig_basis(2),
-            "xi": mixed_trig_basis(),
-            "haar": haar_basis(2),
-        }[basis_name]
+        fam = self.FAMILIES[basis_name]
         stages = TruncationStage.for_schedule(fam, (4, 12))
         ensemble = build_ensemble_ledgers(fld, [stages], grid, 7, rng, chunk_size=3)[0]
         for i in range(7):
             path = sample_brownian(grid, 2, rng, i)
             ref = build_ledger(fld, path, stages)
             got = ensemble.path_ledger(i)
+            assert np.abs(got.g - ref.g).max() <= 1e-10
+            assert np.abs(got.r - ref.r).max() <= 1e-10
+            assert np.abs(got.gprime - ref.gprime).max() <= 1e-10
+            assert got.ito == pytest.approx(ref.ito, abs=1e-10)
+            assert got.strat == pytest.approx(ref.strat, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "basis_name,order,schedule",
+        [
+            ("haar", "balanced", (3, 5, 7)),
+            ("psi", "balanced", (3, 5, 7)),
+            ("xi", "balanced", (3, 5, 7)),
+            ("xi", "adversarial:4", (4, 8, 18)),
+        ],
+    )
+    def test_nonlinear_trace_route(self, basis_name, order, schedule):
+        # skew_field's Jacobian has a nonzero diagonal and J_12 != J_21, so a
+        # scaled trace or swapped Jacobian indices move r on these schedules
+        fld = skew_field()
+        grid = TimeGrid(256)
+        rng = RngSpec(23)
+        fam = self.FAMILIES[basis_name]
+        stages = TruncationStage.for_schedule(fam, schedule, order)
+        ensemble = build_ensemble_ledgers(fld, [stages], grid, 7, rng, chunk_size=3)[0]
+        assert ensemble.trace_entries is None
+        for i in range(7):
+            path = sample_brownian(grid, 2, rng, i)
+            ref = build_ledger(fld, path, stages)
+            got = ensemble.path_ledger(i)
+            assert np.abs(ref.r).max() > 1e-3
             assert np.abs(got.g - ref.g).max() <= 1e-10
             assert np.abs(got.r - ref.r).max() <= 1e-10
             assert np.abs(got.gprime - ref.gprime).max() <= 1e-10
@@ -345,3 +356,51 @@ class TestEnsembleMatchesReference:
             got = ensemble.path_ledger(i)
             assert np.abs(got.g - ref.g).max() <= 1e-12
             assert np.abs(got.gprime - ref.gprime).max() <= 1e-12
+
+
+class TestPrefixPlan:
+    """A multi-stage call reads prefixes of one plan; its bytes must equal
+    one-stage calls that evaluate each prefix on its own."""
+
+    COLUMNS = ("g", "r", "h", "gprime", "ito", "strat")
+
+    @pytest.mark.parametrize(
+        "case",
+        ["psi", "haar", "xi-adversarial", "plin-levels", "skew-haar", "skew-xi"],
+    )
+    def test_multi_stage_equals_single_stages(self, case):
+        from ogawa_lab.bases import BALANCED
+
+        linear = LinearField(0.5, -1.0, 0.25, 2.0)
+        plin = [
+            TruncationStage(lv, piecewise_linear_basis(lv, 1), lv, BALANCED)
+            for lv in (2, 8, 16)
+        ]
+        fld, stages = {
+            "psi": (linear, TruncationStage.for_schedule(component_trig_basis(2), (3, 8, 13))),
+            "haar": (linear, TruncationStage.for_schedule(haar_basis(2), (4, 7, 16))),
+            "xi-adversarial": (
+                linear,
+                TruncationStage.for_schedule(mixed_trig_basis(), (4, 8, 18), adversarial(4)),
+            ),
+            "plin-levels": (identity_field_1d(), plin),
+            "skew-haar": (skew_field(), TruncationStage.for_schedule(haar_basis(2), (3, 5, 7))),
+            "skew-xi": (
+                skew_field(),
+                TruncationStage.for_schedule(mixed_trig_basis(), (4, 8, 18), adversarial(4)),
+            ),
+        }[case]
+        grid, rng = TimeGrid(64), RngSpec(29)
+        multi = build_ensemble_ledgers(fld, [stages], grid, 9, rng, chunk_size=4)[0]
+        for idx, st in enumerate(stages):
+            one = build_ensemble_ledgers(fld, [[st]], grid, 9, rng, chunk_size=4)[0]
+            for col in self.COLUMNS:
+                a, b = getattr(multi, col), getattr(one, col)
+                if a.ndim == 2:
+                    a, b = a[:, idx], b[:, 0]
+                assert np.array_equal(a, b), (case, st.label, col)
+        # ``one`` now holds the largest stage's call
+        if fld.constant_jacobian:
+            assert np.array_equal(multi.trace_entries, one.trace_entries)
+        else:
+            assert multi.trace_entries is None

@@ -18,29 +18,7 @@ from ogawa_lab import (
     sample_brownian,
 )
 
-
-def constant_field(dim, c):
-    vec = np.full(dim, float(c))
-    return VectorField(
-        dim,
-        lambda x: np.broadcast_to(vec, x.shape).copy(),
-        lambda x: np.zeros(x.shape[:-1] + (dim, dim)),
-        constant_jacobian=True,
-    )
-
-
-def swirl_field():
-    # alpha(x, y) = (sin y, cos x): smooth, bounded, non-symmetric Jacobian
-    def alpha(x):
-        return np.stack([np.sin(x[..., 1]), np.cos(x[..., 0])], axis=-1)
-
-    def jac(x):
-        out = np.zeros(x.shape[:-1] + (2, 2))
-        out[..., 0, 1] = np.cos(x[..., 1])
-        out[..., 1, 0] = -np.sin(x[..., 0])
-        return out
-
-    return VectorField(2, alpha, jac)
+from field_helpers import constant_field, swirl_field
 
 
 class TestEvaluateG:

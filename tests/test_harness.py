@@ -2,9 +2,10 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from ogawa_lab import harness
+from ogawa_lab import SamplePath, TimeGrid, diagonal_entries, harness
 from ogawa_lab.cli import main
 from ogawa_lab.harness import (
     ConfigError,
@@ -179,6 +180,18 @@ class TestOrderDependence:
         for n in balanced:
             assert abs(balanced[n] - adversarial[n]) <= 1e-10
 
+    def test_r_rows_are_cumsum_of_diagonal_entries(self):
+        cfg = self.base_config(k=4)
+        res = run_order_dependence(cfg)
+        fld = harness.resolve_field(cfg)
+        probe = SamplePath.zero(TimeGrid(cfg.grid), fld.dim)
+        for order in (cfg.order_a, cfg.order_b):
+            st = harness.resolve_stages(cfg.basis_a, order, fld.dim, [64], cfg.grid)[0]
+            expected = np.cumsum(diagonal_entries(fld, probe, st.family, 64, st.order))
+            got = np.array([r for (o, _, r) in res.r_rows if o == order])
+            assert [n for (o, n, _) in res.r_rows if o == order] == list(range(1, 65))
+            assert np.array_equal(got, expected)
+
     def test_requires_order_b(self):
         cfg = ExperimentConfig(basis_a="xi-mixed", paths=2, grid=64, schedule=(2,))
         with pytest.raises(ConfigError, match="order.b"):
@@ -257,6 +270,19 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         code = self.run_cli("converge", "--field", "linear:1,2")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["converge", "--schedule", "0,4"], "schedule entries must be >= 1"),
+            (["trace", "--n-max", "0"], "--n-max must be >= 1"),
+        ],
+    )
+    def test_nonpositive_sizes_exit_2(self, capsys, args, message):
+        assert self.run_cli(*args, "--grid", "64", "--paths", "2") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error:") and message in err[0]
 
     def test_assert_mode_lifecycle(self, tmp_path):
         exp_file = tmp_path / "expectations.json"
