@@ -74,8 +74,11 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 def _emit(writer, out: str | None) -> None:
     if out is None:
         writer(sys.stdout)
-    else:
+        return
+    try:
         writer(out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out!r}: {exc.strerror}") from None
 
 
 def _handle_expectations(args, cfg, report) -> int:

@@ -2,8 +2,14 @@
 
 Each path is drawn from its own counter-derived stream, so its increments do
 not depend on chunking; the ledger columns come from GEMMs over whole
-chunks, so their bytes are fixed per BLAS build and chunk shape.  All
-requested basis/order combinations share one ensemble (common random
+chunks, so their bytes are fixed per BLAS build and chunk shape.  All other
+work acts on each path alone and runs on row blocks of about
+``ROW_BLOCK_BYTES`` per path array, written into buffers reused across
+chunks; the blocks split a chunk near-equally and move no byte against
+whole-chunk evaluation.  The one exception is the path-dependent trace of a
+one-dimensional field, whose matrix-vector product numpy hands to BLAS gemv,
+so there the bytes follow the block shape (still fixed per chunk shape).
+All requested basis/order combinations share one ensemble (common random
 numbers), and every reduction runs in fixed path order.  Each stage list
 gets one plan: basis stacks and trace entries are evaluated once at its
 largest prefix, and every stage reads leading-row views of them.
@@ -59,8 +65,7 @@ class _StagePlan:
     stage: TruncationStage
     phi_left: np.ndarray   # (n, N, d) leading rows of the shared left-node stack
     de: np.ndarray         # (n, N, d) leading rows of the shared exact cell integrals
-    phi_mid: np.ndarray | None  # (n, N, d) leading rows, for path-dependent traces
-    prim_mid: np.ndarray | None
+    trace_vectors: np.ndarray | None  # (d, d, N) path-dependent traces, see _plan_stages
     r_value: float | None  # sum of the first n shared trace entries (constant Jacobians)
 
 
@@ -69,7 +74,12 @@ def _plan_stages(
 ) -> tuple[list[_StagePlan], np.ndarray | None]:
     """Stage plans, and the trace entries of the largest stage.  Stages of one
     family and order are prefixes of one enumeration (per-level ``plin``
-    stages are not), so their stacks are evaluated once, at the largest n."""
+    stages are not), so their stacks are evaluated once, at the largest n.
+
+    For a path-dependent Jacobian J, r_n = dt * sum_{j,l} J_jl(mid) . t_jl
+    with the trace vectors t_jl = sum_{i<=n} phi_i,j(mid) * Phi_i,l(mid) over
+    the cell midpoints; they depend on the stage only, so each stage stores
+    its own and the midpoint stacks are dropped."""
     shared: dict = {}  # (family, order) -> stacks, largest stage's first
     for st in sorted(stages, key=lambda st: st.n_elements, reverse=True):
         fam, n, order = st.family, st.n_elements, st.order
@@ -86,13 +96,31 @@ def _plan_stages(
         shared[fam, order] = (phi_left, de, *trace)
 
     plans = []
+    dims = range(field.dim)
     for st in stages:
         phi_left, de, entries, phi_mid, prim_mid = (
             None if a is None else a[: st.n_elements] for a in shared[st.family, st.order]
         )
         r_value = None if entries is None else float(np.sum(entries))
-        plans.append(_StagePlan(st, phi_left, de, phi_mid, prim_mid, r_value))
+        vectors = None
+        if phi_mid is not None:
+            vectors = np.array(
+                [[(phi_mid[:, :, j] * prim_mid[:, :, l]).sum(axis=0) for l in dims] for j in dims]
+            )
+        plans.append(_StagePlan(st, phi_left, de, vectors, r_value))
     return plans, next(iter(shared.values()))[2]
+
+
+ROW_BLOCK_BYTES = 1 << 20  # target size of one (rows, N+1, d) float64 path block
+
+
+def _row_blocks(m: int, width: int) -> list[tuple[int, int]]:
+    """Split m chunk rows of ``width`` values each into near-equal blocks of
+    about ROW_BLOCK_BYTES.  A block has one row only when m = 1: numpy sends a
+    one-row matrix-vector product down its dot route, which rounds differently."""
+    rows = max(2, ROW_BLOCK_BYTES // (8 * width))
+    count = max(1, min(-(-m // rows), m // 2))
+    return [(m * b // count, m * (b + 1) // count) for b in range(count)]
 
 
 def build_ensemble_ledgers(
@@ -108,37 +136,75 @@ def build_ensemble_ledgers(
 
     Returns one EnsembleLedger per entry of ``stage_lists``, all computed
     from the same paths (path i always comes from stream i of ``rng``).
+    Paths are taken ``chunk_size`` at a time: the GEMMs see whole chunks,
+    the per-path work runs on row blocks of each chunk.
     """
     dim = field.dim
     n_steps = grid.num_steps
     dt = grid.dt
     planned = [_plan_stages(field, grid, stages) for stages in stage_lists]
     plan_lists = [plans for plans, _ in planned]
+    traced = [
+        (si, pi, plan.trace_vectors)
+        for si, plans in enumerate(plan_lists)
+        for pi, plan in enumerate(plans)
+        if plan.trace_vectors is not None
+    ]
 
     out_g = [np.empty((num_paths, len(p))) for p in plan_lists]
-    out_r = [np.empty((num_paths, len(p))) for p in plan_lists]
+    # r_value on every path; traced columns (NaN here) are filled per row block
+    r_values = [np.array([p.r_value for p in plans], dtype=float) for plans in plan_lists]
+    out_r = [np.tile(r, (num_paths, 1)) for r in r_values]
     out_gp = [np.full((num_paths, len(p)), np.nan) for p in plan_lists]
     ito = np.empty(num_paths)
     strat = np.empty(num_paths)
 
+    # buffers shared by every chunk: chunk-wide GEMM operands, and row blocks
+    # of the path (W(0) = 0 is set here once) and of cell averages
+    chunk = min(chunk_size, num_paths)
+    width = (n_steps + 1) * dim
+    sizes = {chunk, num_paths % chunk or chunk}
+    max_rows = max(b - a for m in sizes for a, b in _row_blocks(m, width))
+    dw_buf = np.empty((chunk, n_steps, dim))
+    favg_buf = np.empty_like(dw_buf)
+    dwn_buf = np.empty_like(dw_buf) if with_gprime else None
+    path_buf = np.zeros((max_rows, n_steps + 1, dim))
+    avg_buf = np.empty((max_rows, n_steps, dim))
+
+    def cell_average(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.add(values[:, :-1], values[:, 1:], out=out)
+        out *= 0.5
+        return out
+
+    def path_block(increments: np.ndarray) -> np.ndarray:
+        values = path_buf[: len(increments)]
+        np.cumsum(increments, axis=1, out=values[:, 1:])
+        return values
+
     for start in range(0, num_paths, chunk_size):
         stop = min(start + chunk_size, num_paths)
         m = stop - start
-        dw = np.stack(
-            [brownian_increments(grid, dim, rng, i) for i in range(start, stop)]
-        )  # (m, N, d)
-        values = np.concatenate(
-            [np.zeros((m, 1, dim)), np.cumsum(dw, axis=1)], axis=1
-        )  # (m, N+1, d)
-        alpha = field.alpha(values)
-        favg = 0.5 * (alpha[:, :-1] + alpha[:, 1:])
-        ito[start:stop] = np.einsum("mkd,mkd->m", alpha[:, :-1], dw)
-        mids = 0.5 * (values[:, :-1] + values[:, 1:])
-        strat[start:stop] = np.einsum("mkd,mkd->m", field.alpha(mids), dw)
+        blocks = _row_blocks(m, width)
+        dw, favg = dw_buf[:m], favg_buf[:m]
+        for i in range(m):
+            dw[i] = brownian_increments(grid, dim, rng, start + i)
 
-        jac_mid = None
-        if not field.constant_jacobian:
-            jac_mid = field.jacobian(mids)  # (m, N, d, d)
+        for a, b in blocks:
+            rows = slice(start + a, start + b)
+            values = path_block(dw[a:b])
+            alpha = field.alpha(values)
+            cell_average(alpha, favg[a:b])
+            ito[rows] = np.einsum("mkd,mkd->m", alpha[:, :-1], dw[a:b])
+            mids = cell_average(values, avg_buf[: b - a])
+            strat[rows] = np.einsum("mkd,mkd->m", field.alpha(mids), dw[a:b])
+            if traced:
+                jac_mid = field.jacobian(mids)  # (rows, N, d, d)
+                for si, pi, vectors in traced:
+                    trace = np.zeros(b - a)
+                    for j in range(dim):
+                        for l in range(dim):
+                            trace += jac_mid[:, :, j, l] @ vectors[j, l]
+                    out_r[si][rows, pi] = trace * dt
 
         dw_flat = dw.reshape(m, -1)
         favg_flat = favg.reshape(m, -1)
@@ -150,25 +216,14 @@ def build_ensemble_ledgers(
                 coeffs = dw_flat @ phi_flat.T       # (m, n)
                 pairings = favg_flat @ de_flat.T    # (m, n)
                 out_g[si][start:stop, pi] = np.einsum("mi,mi->m", coeffs, pairings)
-
-                if plan.r_value is not None:
-                    out_r[si][start:stop, pi] = plan.r_value
-                else:
-                    trace = np.zeros(m)
-                    for j in range(dim):
-                        for l in range(dim):
-                            t_il = (plan.phi_mid[:, :, j] * plan.prim_mid[:, :, l]).sum(axis=0)
-                            trace += jac_mid[:, :, j, l] @ t_il
-                    out_r[si][start:stop, pi] = trace * dt
-
-                if with_gprime:
-                    dwn = (coeffs @ de_flat).reshape(m, n_steps, dim)
-                    wn = np.concatenate(
-                        [np.zeros((m, 1, dim)), np.cumsum(dwn, axis=1)], axis=1
-                    )
-                    an = field.alpha(wn)
-                    aavg = 0.5 * (an[:, :-1] + an[:, 1:])
-                    out_gp[si][start:stop, pi] = np.einsum("mkd,mkd->m", aavg, dwn)
+                if not with_gprime:
+                    continue
+                dwn = dwn_buf[:m]
+                np.matmul(coeffs, de_flat, out=dwn.reshape(m, -1))
+                for a, b in blocks:
+                    an = field.alpha(path_block(dwn[a:b]))
+                    aavg = cell_average(an, avg_buf[: b - a])
+                    out_gp[si][start + a : start + b, pi] = np.einsum("mkd,mkd->m", aavg, dwn[a:b])
 
     ledgers = []
     for si, (plans, trace_entries) in enumerate(planned):

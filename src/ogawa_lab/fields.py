@@ -86,6 +86,8 @@ class LinearField(VectorField):
             float(k2),
         )
         mat = np.array([[self.h1, self.k1], [self.h2, self.k2]])
+        if not np.all(np.isfinite(mat)):
+            raise ValueError(f"linear field coefficients must be finite, got {mat.ravel().tolist()}")
         mat.setflags(write=False)
         self.matrix = mat
         super().__init__(

@@ -38,18 +38,23 @@ class ConfigError(Exception):
     """Raised for unresolvable names, malformed values, or bad schedules."""
 
 
-CONFIG_KEYS = (
-    "field",
-    "basis.a",
-    "basis.b",
-    "order.a",
-    "order.b",
-    "grid",
-    "paths",
-    "seed",
-    "schedule",
-    "out",
-)
+def _parse_schedule(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(","))
+
+
+# config key -> (ExperimentConfig attribute, parser of the text value)
+CONFIG_KEYS = {
+    "field": ("field", str),
+    "basis.a": ("basis_a", str),
+    "basis.b": ("basis_b", str),
+    "order.a": ("order_a", str),
+    "order.b": ("order_b", str),
+    "grid": ("grid", int),
+    "paths": ("paths", int),
+    "seed": ("seed", int),
+    "schedule": ("schedule", _parse_schedule),
+    "out": ("out", str),
+}
 
 DEFAULT_SCHEDULE = (4, 16, 64, 256)
 
@@ -86,7 +91,10 @@ class ExperimentConfig:
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read ``key = value`` lines; '#' starts a comment, blank lines ignored."""
     raw: dict[str, str] = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc.strerror}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -100,43 +108,19 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return raw
 
 
-def _parse_schedule(text: str) -> tuple[int, ...]:
-    try:
-        schedule = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad schedule {text!r}: {exc}") from None
-    return schedule
-
-
 def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
-    cfg = ExperimentConfig()
     updates: dict = {}
     for key, value in raw.items():
         if value is None:
             continue
-        if key == "field":
-            updates["field"] = value
-        elif key == "basis.a":
-            updates["basis_a"] = value
-        elif key == "basis.b":
-            updates["basis_b"] = value
-        elif key == "order.a":
-            updates["order_a"] = value
-        elif key == "order.b":
-            updates["order_b"] = value
-        elif key == "grid":
-            updates["grid"] = int(value)
-        elif key == "paths":
-            updates["paths"] = int(value)
-        elif key == "seed":
-            updates["seed"] = int(value)
-        elif key == "schedule":
-            updates["schedule"] = _parse_schedule(value)
-        elif key == "out":
-            updates["out"] = value
-        else:  # pragma: no cover - guarded by CONFIG_KEYS
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-    return replace(cfg, **updates)
+        attr, parse = CONFIG_KEYS[key]
+        try:
+            updates[attr] = parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"bad {key} {value!r}: {exc}") from None
+    return replace(ExperimentConfig(), **updates)
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -172,6 +156,8 @@ def resolve_stages(
     in full); any other family reads them as prefix lengths.  Piecewise-
     linear knots must divide the grid so that knots land on grid nodes.
     """
+    if min(schedule, default=1) < 1:
+        raise ConfigError(f"schedule entries must be >= 1, got {tuple(schedule)}")
     try:
         order = EnumerationOrder.parse(order_spec)
         if basis_spec == "plin":

@@ -19,7 +19,9 @@ from ogawa_lab import (
     diagonal_entries,
     diagonal_entry,
     dump_ledgers_csv,
+    field_from_name,
     haar_basis,
+    harness,
     identity_field_1d,
     ito_integral,
     mixed_trig_basis,
@@ -404,3 +406,91 @@ class TestPrefixPlan:
             assert np.array_equal(multi.trace_entries, one.trace_entries)
         else:
             assert multi.trace_entries is None
+
+
+class TestRowBlocks:
+    """Per-path work runs on row blocks of each chunk while the GEMMs see the
+    whole chunk, so the block size must not move a byte.  One block per chunk
+    replays whole-chunk evaluation."""
+
+    COLUMNS = ("g", "r", "h", "gprime", "ito", "strat")
+    GRID = 1024
+
+    @staticmethod
+    def stage_lists(dim, *specs):
+        return [
+            harness.resolve_stages(basis, order, dim, schedule, TestRowBlocks.GRID)
+            for basis, order, schedule in specs
+        ]
+
+    @pytest.mark.parametrize(
+        "case", ["linear-psi-haar", "id1d-plin-haar", "skew-haar-xi", "swirl-haar"]
+    )
+    def test_block_size_moves_no_byte(self, case, monkeypatch):
+        from ogawa_lab import ensemble as ens
+
+        psi, haar = ("psi-trig", "balanced", (4, 16, 64)), ("haar", "balanced", (4, 16, 64))
+        fld, stage_lists = {
+            "linear-psi-haar": (
+                field_from_name("linear:0.3,-1.7,2.2,0.9"), self.stage_lists(2, psi, haar)
+            ),
+            "id1d-plin-haar": (
+                identity_field_1d(),
+                self.stage_lists(1, ("plin", "balanced", (4, 16, 64)), haar),
+            ),
+            "skew-haar-xi": (
+                skew_field(),
+                self.stage_lists(2, haar, ("xi-mixed", "adversarial:4", (4, 8, 18))),
+            ),
+            "swirl-haar": (swirl_field(), self.stage_lists(2, haar)),
+        }[case]
+        grid, rng = TimeGrid(self.GRID), RngSpec(31)
+        row_bytes = 8 * (self.GRID + 1) * fld.dim
+        budgets = {
+            "2 rows": 2 * row_bytes,
+            "3 rows": 3 * row_bytes,
+            "default": ens.ROW_BLOCK_BYTES,
+            "one block": 1 << 60,
+        }
+        # tails of 2 and 7 paths, and a run without g'
+        for paths, chunk, with_gprime in ((130, 64, True), (7, 256, True), (130, 64, False)):
+            runs = {}
+            for name, budget in budgets.items():
+                monkeypatch.setattr(ens, "ROW_BLOCK_BYTES", budget)
+                runs[name] = build_ensemble_ledgers(
+                    fld, stage_lists, grid, paths, rng, chunk_size=chunk, with_gprime=with_gprime
+                )
+            whole = runs.pop("one block")
+            for name, ledgers in runs.items():
+                for got, ref in zip(ledgers, whole):
+                    for col in self.COLUMNS:
+                        assert np.array_equal(
+                            getattr(got, col), getattr(ref, col), equal_nan=col == "gprime"
+                        ), (case, paths, chunk, with_gprime, name, ref.basis, col)
+
+
+def test_swirl_exact_moments(monkeypatch):
+    """The row-blocked Ito and Stratonovich sums against exact moments that
+    share no code with the per-path oracle.  For alpha = (sin y, cos x) each
+    cell's terms are odd in one coordinate's increment and independent
+    across coordinates, so cross terms vanish and, with sin^2 + cos^2 = 1,
+    E[ito] = E[strat] = 0, E[ito^2] = E[strat^2] = N dt = 1 and
+    E[(strat - ito)^2] = N dt * 2 (1 - E cos(dW/2)) = 2 (1 - exp(-dt/8))."""
+    from ogawa_lab import ensemble as ens
+
+    grid, paths = TimeGrid(64), 4000
+    monkeypatch.setattr(ens, "ROW_BLOCK_BYTES", 5 * 8 * (grid.num_steps + 1) * 2)
+    stages = TruncationStage.for_schedule(haar_basis(2), (4,))
+    led = build_ensemble_ledgers(
+        swirl_field(), [stages], grid, paths, RngSpec(37), with_gprime=False
+    )[0]
+    gap = led.strat - led.ito
+    for name, samples, exact in (
+        ("E[ito]", led.ito, 0.0),
+        ("E[strat]", led.strat, 0.0),
+        ("E[ito^2]", led.ito**2, 1.0),
+        ("E[strat^2]", led.strat**2, 1.0),
+        ("E[(strat-ito)^2]", gap**2, 2.0 * (1.0 - math.exp(-grid.dt / 8.0))),
+    ):
+        z = (samples.mean() - exact) / (samples.std(ddof=1) / math.sqrt(paths))
+        assert abs(z) <= 4.0, (name, float(samples.mean()), exact, float(z))

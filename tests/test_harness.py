@@ -63,6 +63,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="exceeds"):
             run_convergence(cfg)
 
+    @pytest.mark.parametrize("basis", ["plin", "haar"])
+    def test_resolve_stages_rejects_nonpositive_entries(self, basis):
+        # called directly, without validate_config in front of it
+        with pytest.raises(ConfigError, match="schedule entries must be >= 1"):
+            harness.resolve_stages(basis, "balanced", 1, [0, 4], 64)
+
+    def test_non_integer_value(self, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("grid = abc\n")
+        with pytest.raises(ConfigError, match="bad grid 'abc'"):
+            config_from_mapping(parse_config_file(cfg_file))
+
     def test_unresolvable_basis(self):
         cfg = ExperimentConfig(basis_a="wavelets", paths=2, grid=64, schedule=(2,))
         with pytest.raises(ConfigError, match="unknown basis"):
@@ -283,6 +295,37 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("config error:") and message in err[0]
+
+    def config_error_line(self, capsys) -> str:
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        return err[0]
+
+    def test_non_integer_config_value_exit_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("grid = abc\n")
+        assert self.run_cli("converge", "--config", str(cfg_file)) == 2
+        assert "bad grid 'abc'" in self.config_error_line(capsys)
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "rep.csv"
+        code = self.run_cli(
+            "converge", "--field", "id1d", "--basis-a", "haar", "--grid", "64",
+            "--paths", "2", "--schedule", "2", "--out", str(out),
+        )
+        assert code == 2
+        assert "cannot write" in self.config_error_line(capsys)
+        assert not out.parent.exists()
+
+    def test_non_finite_field_coefficient_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "rep.csv"
+        code = self.run_cli(
+            "converge", "--field", "linear:nan,0,0,1", "--grid", "64",
+            "--paths", "2", "--schedule", "2", "--out", str(out),
+        )
+        assert code == 2
+        assert "must be finite" in self.config_error_line(capsys)
+        assert not out.exists()
 
     def test_assert_mode_lifecycle(self, tmp_path):
         exp_file = tmp_path / "expectations.json"
