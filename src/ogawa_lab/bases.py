@@ -153,6 +153,14 @@ class BasisFamily:
     ) -> list[BasisElement]:
         return [self.element(lab) for lab in self.labels(n, order)]
 
+    def enumerating(self, labels: list) -> "BasisFamily":
+        """This family's elements as a finite family whose balanced order
+        walks ``labels``, for stacks over a set that no single order lists."""
+        labels = list(labels)
+        return BasisFamily(
+            self.name, self.dim, lambda n: labels[:n], self.element, size=len(labels)
+        )
+
     def phi_stack(
         self, t: np.ndarray, n: int, order: EnumerationOrder | str | None = None
     ) -> np.ndarray:

@@ -8,6 +8,9 @@ overrides.  Exit codes: 0 on success, 2 on configuration errors, 3 when
 from __future__ import annotations
 
 import argparse
+import errno
+import math
+import os
 import sys
 from pathlib import Path
 
@@ -81,6 +84,34 @@ def _emit(writer, out: str | None) -> None:
         raise ConfigError(f"cannot write {out!r}: {exc.strerror}") from None
 
 
+def _check_writable(*outs: str | None) -> None:
+    """Fail before a run, not after it, when an output file cannot be written."""
+    for out in outs:
+        if out is None:
+            continue
+        path = Path(out)
+        if path.is_dir():
+            code = errno.EISDIR
+        elif not path.parent.is_dir():
+            code = errno.ENOENT
+        elif not os.access(path if path.exists() else path.parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise ConfigError(f"cannot write {out!r}: {os.strerror(code)}")
+
+
+def _require_finite(rows) -> None:
+    """Refuse to write a report whose (name, n, value, ...) rows hold inf or NaN."""
+    for name, n, *values in rows:
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{name} at n = {n} is not finite; no CSV written")
+
+
+def _report_rows(report) -> list:
+    return [(r.estimator, r.n, r.value, r.stderr) for r in report.rows]
+
+
 def _handle_expectations(args, cfg, report) -> int:
     if args.update_expectations:
         exp = harness.load_expectations(args.expectations)
@@ -100,7 +131,10 @@ def _handle_expectations(args, cfg, report) -> int:
 
 def cmd_converge(args) -> int:
     cfg = build_config(args)
-    report = harness.run_convergence(cfg)
+    _check_writable(cfg.out)
+    with np.errstate(all="ignore"):  # non-finite results are refused below
+        report = harness.run_convergence(cfg)
+    _require_finite(_report_rows(report))
     _emit(lambda f: harness.emit_report(report, f), cfg.out)
     return _handle_expectations(args, cfg, report)
 
@@ -112,9 +146,12 @@ def _r_table_path(out: str) -> str:
 
 def cmd_order(args) -> int:
     cfg = build_config(args)
-    result = harness.run_order_dependence(cfg)
-    _emit(lambda f: harness.emit_report(result.report, f), cfg.out)
     r_out = _r_table_path(cfg.out) if cfg.out else None
+    _check_writable(cfg.out, r_out)
+    with np.errstate(all="ignore"):  # non-finite results are refused below
+        result = harness.run_order_dependence(cfg)
+    _require_finite(_report_rows(result.report) + list(result.r_rows))
+    _emit(lambda f: harness.emit_report(result.report, f), cfg.out)
     _emit(lambda f: harness.emit_r_table(result.r_rows, f), r_out)
     return _handle_expectations(args, cfg, result.report)
 
@@ -144,8 +181,9 @@ def cmd_trace(args) -> int:
     )
     st = stages[0]
     probe = SamplePath.zero(TimeGrid(cfg.grid), fld.dim)
-    entries = diagonal_entries(fld, probe, st.family, st.n_elements, st.order)
-    trajectory = np.cumsum(entries)
+    with np.errstate(all="ignore"):  # non-finite results are refused below
+        trajectory = np.cumsum(diagonal_entries(fld, probe, st.family, st.n_elements, st.order))
+    _require_finite((f"r ({st.family.name})", i + 1, r) for i, r in enumerate(trajectory))
 
     def write(file):
         close = isinstance(file, (str, Path))

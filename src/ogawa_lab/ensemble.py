@@ -6,13 +6,13 @@ chunks, so their bytes are fixed per BLAS build and chunk shape.  All other
 work acts on each path alone and runs on row blocks of about
 ``ROW_BLOCK_BYTES`` per path array, written into buffers reused across
 chunks; the blocks split a chunk near-equally and move no byte against
-whole-chunk evaluation.  The one exception is the path-dependent trace of a
-one-dimensional field, whose matrix-vector product numpy hands to BLAS gemv,
-so there the bytes follow the block shape (still fixed per chunk shape).
-All requested basis/order combinations share one ensemble (common random
-numbers), and every reduction runs in fixed path order.  Each stage list
-gets one plan: basis stacks and trace entries are evaluated once at its
-largest prefix, and every stage reads leading-row views of them.
+whole-chunk evaluation.  All requested basis/order combinations share one
+ensemble (common random numbers), and every reduction runs in fixed path
+order.  Each basis family gets one plan across all stage lists: basis stacks
+and trace entries are evaluated once over the union of the labels its orders
+need, each order's stacks are leading rows of that union or one gathered
+copy of its rows, and every stage reads leading-row views of its order's
+stacks.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bases import BasisFamily
 from .engine import OgawaLedger, TruncationStage, diagonal_entries
 from .fields import VectorField
 from .paths import RngSpec, SamplePath, TimeGrid, brownian_increments
@@ -69,46 +70,81 @@ class _StagePlan:
     r_value: float | None  # sum of the first n shared trace entries (constant Jacobians)
 
 
+def _evaluate(field: VectorField, grid: TimeGrid, family: BasisFamily, n: int) -> tuple:
+    """Phi, E and trace data of the first n elements of ``family``: the
+    zero-path trace entries for a constant Jacobian, otherwise the midpoint
+    phi and primitive stacks.  Absent entries are None."""
+    phi_left = family.phi_stack(grid.times[:-1], n)
+    de = family.primitive_cell_increments(grid, n)
+    if field.constant_jacobian:
+        probe = SamplePath.zero(grid, field.dim)
+        return phi_left, de, diagonal_entries(field, probe, family, n), None, None
+    mids = grid.midpoints
+    return phi_left, de, None, family.phi_stack(mids, n), family.primitive_stack(mids, n)
+
+
+def _order_key(st: TruncationStage) -> tuple:
+    return st.family.name, st.family.dim, st.order
+
+
 def _plan_stages(
-    field: VectorField, grid: TimeGrid, stages: Sequence[TruncationStage]
-) -> tuple[list[_StagePlan], np.ndarray | None]:
-    """Stage plans, and the trace entries of the largest stage.  Stages of one
-    family and order are prefixes of one enumeration (per-level ``plin``
-    stages are not), so their stacks are evaluated once, at the largest n.
+    field: VectorField, grid: TimeGrid, stage_lists: Sequence[Sequence[TruncationStage]]
+) -> tuple[list[list[_StagePlan]], list[np.ndarray | None]]:
+    """Stage plans per stage list, and each list's largest-stage trace entries.
+
+    Stages of one family and order are prefixes of one enumeration, and the
+    orders of one family enumerate one label set.  So each family, keyed by
+    name and dim (per-level ``plin`` families keep distinct names), is
+    evaluated once over the union of the labels its orders need: the first
+    order's largest prefix, then the labels later orders add, in first-seen
+    order.  An order whose labels lead the union reads leading rows of the
+    union's stacks; any other gets one gathered copy of its rows.  Every
+    stage then reads leading rows of its order's stacks.
 
     For a path-dependent Jacobian J, r_n = dt * sum_{j,l} J_jl(mid) . t_jl
     with the trace vectors t_jl = sum_{i<=n} phi_i,j(mid) * Phi_i,l(mid) over
     the cell midpoints; they depend on the stage only, so each stage stores
     its own and the midpoint stacks are dropped."""
-    shared: dict = {}  # (family, order) -> stacks, largest stage's first
-    for st in sorted(stages, key=lambda st: st.n_elements, reverse=True):
-        fam, n, order = st.family, st.n_elements, st.order
-        if (fam, order) in shared:
-            continue
-        phi_left = fam.phi_stack(grid.times[:-1], n, order)
-        de = fam.primitive_cell_increments(grid, n, order)
-        if field.constant_jacobian:
-            probe = SamplePath.zero(grid, field.dim)
-            trace = (diagonal_entries(field, probe, fam, n, order), None, None)
-        else:
-            mids = grid.midpoints
-            trace = (None, fam.phi_stack(mids, n, order), fam.primitive_stack(mids, n, order))
-        shared[fam, order] = (phi_left, de, *trace)
+    largest: dict = {}  # (name, dim, order) -> that order's largest stage
+    for st in (st for stages in stage_lists for st in stages):
+        key = _order_key(st)
+        if key not in largest or st.n_elements > largest[key].n_elements:
+            largest[key] = st
+    families: dict = {}  # (name, dim) -> [(key, labels)], orders in first-seen order
+    for key, st in largest.items():
+        families.setdefault(key[:2], []).append((key, st.family.labels(st.n_elements, st.order)))
 
-    plans = []
+    stacks: dict = {}  # (name, dim, order) -> stacks of its largest stage
+    for members in families.values():
+        union = list(dict.fromkeys(lab for _, labels in members for lab in labels))
+        family = largest[members[0][0]].family.enumerating(union)
+        arrays = _evaluate(field, grid, family, len(union))
+        index = {lab: i for i, lab in enumerate(union)}
+        for key, labels in members:
+            rows = [index[lab] for lab in labels]
+            take = slice(len(rows)) if rows == list(range(len(rows))) else np.array(rows)
+            stacks[key] = tuple(None if a is None else a[take] for a in arrays)
+
+    plan_lists, top_entries = [], []
     dims = range(field.dim)
-    for st in stages:
-        phi_left, de, entries, phi_mid, prim_mid = (
-            None if a is None else a[: st.n_elements] for a in shared[st.family, st.order]
-        )
-        r_value = None if entries is None else float(np.sum(entries))
-        vectors = None
-        if phi_mid is not None:
-            vectors = np.array(
-                [[(phi_mid[:, :, j] * prim_mid[:, :, l]).sum(axis=0) for l in dims] for j in dims]
+    for stages in stage_lists:
+        plans = []
+        for st in stages:
+            phi_left, de, entries, phi_mid, prim_mid = (
+                None if a is None else a[: st.n_elements] for a in stacks[_order_key(st)]
             )
-        plans.append(_StagePlan(st, phi_left, de, vectors, r_value))
-    return plans, next(iter(shared.values()))[2]
+            r_value = None if entries is None else float(np.sum(entries))
+            vectors = None
+            if phi_mid is not None:
+                vectors = np.array(
+                    [[(phi_mid[:, :, j] * prim_mid[:, :, l]).sum(axis=0) for l in dims] for j in dims]
+                )
+            plans.append(_StagePlan(st, phi_left, de, vectors, r_value))
+        top = max(stages, key=lambda st: st.n_elements)
+        entries = stacks[_order_key(top)][2]
+        plan_lists.append(plans)
+        top_entries.append(None if entries is None else entries[: top.n_elements])
+    return plan_lists, top_entries
 
 
 ROW_BLOCK_BYTES = 1 << 20  # target size of one (rows, N+1, d) float64 path block
@@ -142,8 +178,7 @@ def build_ensemble_ledgers(
     dim = field.dim
     n_steps = grid.num_steps
     dt = grid.dt
-    planned = [_plan_stages(field, grid, stages) for stages in stage_lists]
-    plan_lists = [plans for plans, _ in planned]
+    plan_lists, top_entries = _plan_stages(field, grid, stage_lists)
     traced = [
         (si, pi, plan.trace_vectors)
         for si, plans in enumerate(plan_lists)
@@ -203,7 +238,7 @@ def build_ensemble_ledgers(
                     trace = np.zeros(b - a)
                     for j in range(dim):
                         for l in range(dim):
-                            trace += jac_mid[:, :, j, l] @ vectors[j, l]
+                            trace += np.einsum("mk,k->m", jac_mid[:, :, j, l], vectors[j, l])
                     out_r[si][rows, pi] = trace * dt
 
         dw_flat = dw.reshape(m, -1)
@@ -226,7 +261,7 @@ def build_ensemble_ledgers(
                     out_gp[si][start + a : start + b, pi] = np.einsum("mkd,mkd->m", aavg, dwn[a:b])
 
     ledgers = []
-    for si, (plans, trace_entries) in enumerate(planned):
+    for si, (plans, trace_entries) in enumerate(zip(plan_lists, top_entries)):
         ledgers.append(
             EnsembleLedger(
                 basis=plans[0].stage.family.name,

@@ -47,3 +47,8 @@ def skew_field():
         return out
 
     return VectorField(2, alpha, jac)
+
+
+def sine_field_1d():
+    # alpha(x) = sin x: a one-dimensional field with a path-dependent trace
+    return VectorField(1, np.sin, lambda x: np.cos(x)[..., None])

@@ -36,7 +36,7 @@ from ogawa_lab import (
     wong_zakai_sum,
 )
 
-from field_helpers import constant_field, skew_field, swirl_field
+from field_helpers import constant_field, sine_field_1d, skew_field, swirl_field
 
 
 class TestPartialSums:
@@ -408,6 +408,90 @@ class TestPrefixPlan:
             assert multi.trace_entries is None
 
 
+class TestUnionPlan:
+    """Stage lists of one family share one plan over the union of their
+    labels; a call with two lists must give the bytes of one call per list."""
+
+    COLUMNS = ("g", "r", "h", "gprime", "ito", "strat", "trace_entries")
+
+    @pytest.mark.parametrize(
+        "case", ["xi-adversarial:100", "xi-adversarial:4", "skew-xi", "psi-haar"]
+    )
+    def test_two_lists_equal_separate_calls(self, case):
+        linear = field_from_name("linear:0.25,0.25,1.25,0.75")
+        xi = ("xi-mixed", "balanced")
+        fld, specs, schedule = {
+            "xi-adversarial:100": (
+                linear, [xi, ("xi-mixed", "adversarial:100")], (4, 16, 64, 256)
+            ),
+            "xi-adversarial:4": (linear, [xi, ("xi-mixed", "adversarial:4")], (4, 8, 18)),
+            "skew-xi": (skew_field(), [xi, ("xi-mixed", "adversarial:4")], (4, 8, 18)),
+            "psi-haar": (linear, [("psi-trig", "balanced"), ("haar", "balanced")], (4, 16, 64)),
+        }[case]
+        grid, rng = TimeGrid(512), RngSpec(41)
+        lists = [
+            harness.resolve_stages(basis, order, 2, schedule, grid.num_steps)
+            for basis, order in specs
+        ]
+        if case == "xi-adversarial:100":
+            # the union holds labels that the balanced prefix lacks
+            top = [set(stages[-1].family.labels(256, stages[-1].order)) for stages in lists]
+            assert len(top[0] & top[1]) == 183
+        both = build_ensemble_ledgers(fld, lists, grid, 9, rng, chunk_size=4)
+        for stages, got in zip(lists, both):
+            ref = build_ensemble_ledgers(fld, [stages], grid, 9, rng, chunk_size=4)[0]
+            for col in self.COLUMNS:
+                a, b = getattr(got, col), getattr(ref, col)
+                if a is None or b is None:
+                    assert a is None and b is None and not fld.constant_jacobian
+                else:
+                    assert np.array_equal(a, b), (case, got.order, col)
+
+    def test_order_experiment_evaluates_union_once(self, monkeypatch):
+        from ogawa_lab import ensemble as ens
+        from ogawa_lab.bases import BasisFamily
+
+        evaluated, traces = [], []
+        for name in ("phi_stack", "primitive_stack"):
+            original = getattr(BasisFamily, name)
+
+            def counted(self, t, n, order=None, _original=original, _name=name):
+                evaluated.append((_name, len(t), self.labels(n, order)))
+                return _original(self, t, n, order)
+
+            monkeypatch.setattr(BasisFamily, name, counted)
+        original_trace = ens.diagonal_entries
+
+        def counted_trace(*args, **kwargs):
+            traces.append(args[3])
+            return original_trace(*args, **kwargs)
+
+        monkeypatch.setattr(ens, "diagonal_entries", counted_trace)
+        cfg = harness.ExperimentConfig(
+            field="linear:0.25,0.25,1.25,0.75", basis_a="xi-mixed", order_a="balanced",
+            order_b="adversarial:20", grid=1024, paths=4, schedule=(4, 16, 64),
+        )
+        res = harness.run_order_dependence(cfg)
+
+        fam = mixed_trig_basis()
+        balanced, adv = fam.labels(64), fam.labels(64, "adversarial:20")
+        union = list(dict.fromkeys(balanced + adv))
+        assert len(union) > 64  # adversarial:20 needs labels beyond balanced's prefix
+        # left nodes, cell-integral nodes, and the trace's midpoints, once each
+        assert sorted((name, m) for name, m, _ in evaluated) == [
+            ("phi_stack", 1024), ("phi_stack", 1024),
+            ("primitive_stack", 1024), ("primitive_stack", 1025),
+        ]
+        assert all(labels == union for _, _, labels in evaluated)
+        assert traces == [len(union)]
+        probe = SamplePath.zero(TimeGrid(cfg.grid), 2)
+        fld = harness.resolve_field(cfg)
+        for order in ("balanced", "adversarial:20"):
+            got = np.array([r for (o, _, r) in res.r_rows if o == order])
+            expected = np.cumsum(original_trace(fld, probe, fam, 64, order))
+            assert np.array_equal(got, expected), order
+
+
 class TestRowBlocks:
     """Per-path work runs on row blocks of each chunk while the GEMMs see the
     whole chunk, so the block size must not move a byte.  One block per chunk
@@ -424,7 +508,8 @@ class TestRowBlocks:
         ]
 
     @pytest.mark.parametrize(
-        "case", ["linear-psi-haar", "id1d-plin-haar", "skew-haar-xi", "swirl-haar"]
+        "case",
+        ["linear-psi-haar", "id1d-plin-haar", "skew-haar-xi", "swirl-haar", "sine1d-haar"],
     )
     def test_block_size_moves_no_byte(self, case, monkeypatch):
         from ogawa_lab import ensemble as ens
@@ -443,6 +528,7 @@ class TestRowBlocks:
                 self.stage_lists(2, haar, ("xi-mixed", "adversarial:4", (4, 8, 18))),
             ),
             "swirl-haar": (swirl_field(), self.stage_lists(2, haar)),
+            "sine1d-haar": (sine_field_1d(), self.stage_lists(1, haar)),
         }[case]
         grid, rng = TimeGrid(self.GRID), RngSpec(31)
         row_bytes = 8 * (self.GRID + 1) * fld.dim

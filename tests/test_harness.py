@@ -317,6 +317,40 @@ class TestCli:
         assert "cannot write" in self.config_error_line(capsys)
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("command", ["converge", "order"])
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch, command):
+        def must_not_run(cfg):
+            raise AssertionError("the run started before --out was checked")
+
+        monkeypatch.setattr(harness, "run_convergence", must_not_run)
+        monkeypatch.setattr(harness, "run_order_dependence", must_not_run)
+        args = [
+            command, "--basis-a", "xi-mixed", "--order-b", "adversarial:4",
+            "--grid", "64", "--paths", "2", "--schedule", "2",
+        ]
+        out = tmp_path / "missing" / "rep.csv"
+        assert self.run_cli(*args, "--out", str(out)) == 2
+        assert "No such file or directory" in self.config_error_line(capsys)
+        if command == "order":
+            # the report path is fine, its r-trajectory sibling is a directory
+            (tmp_path / "rep_rtrajectory.csv").mkdir()
+            assert self.run_cli(*args, "--out", str(tmp_path / "rep.csv")) == 2
+            assert "rep_rtrajectory.csv" in self.config_error_line(capsys)
+            assert not (tmp_path / "rep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["converge", "order"])
+    def test_non_finite_rows_exit_2(self, tmp_path, capsys, command):
+        # finite coefficients whose squares overflow
+        out = tmp_path / "rep.csv"
+        code = self.run_cli(
+            command, "--field", "linear:1e300,0,0,1", "--basis-a", "xi-mixed",
+            "--order-b", "adversarial:4", "--grid", "16", "--paths", "4",
+            "--schedule", "2,4", "--out", str(out),
+        )
+        assert code == 2
+        assert "is not finite" in self.config_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_field_coefficient_exit_2(self, tmp_path, capsys):
         out = tmp_path / "rep.csv"
         code = self.run_cli(
