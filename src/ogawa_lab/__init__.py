@@ -28,7 +28,6 @@ from .engine import (
     build_ledger,
     conversion_gap,
     diagonal_entries,
-    diagonal_entry,
     divergence_quadrature,
     dump_ledgers_csv,
     ito_integral,
@@ -61,7 +60,6 @@ from .paths import (
     approximate_wiener,
     brownian_increments,
     dump_path_csv,
-    load_path_csv,
     paley_wiener,
     project_coefficients,
     sample_brownian,
@@ -71,7 +69,6 @@ from .spectral import (
     SpectrumReport,
     closed_form_spectrum,
     discretized_L_spectrum,
-    eigenfunction_values,
     eigenvalue_partial_sums,
     matrix_A,
     trace_class_diagnostic,

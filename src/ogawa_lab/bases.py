@@ -14,22 +14,34 @@ Four families are provided:
   with knots at i/n: derivatives sqrt(n) 1_[i/n,(i+1)/n], primitives ramping
   to the plateau 1/sqrt(n).
 
-Every element carries a closed-form evaluator for phi(t) and for its
-primitive e(t) = int_0^t phi; no primitive is obtained by numerical
-integration.  Indicator-type elements use half-open supports [a, b) (closed
-at t = 1) so that left-point Stieltjes sums against grid-aligned knots
-telescope exactly.
+Every element carries closed-form writers for phi(t) and for its primitive
+e(t) = int_0^t phi; no primitive is obtained by numerical integration.
+Indicator-type elements use half-open supports [a, b) (closed at t = 1) so
+that left-point Stieltjes sums against grid-aligned knots telescope exactly.
+
+Stacks are written in place.  A stack call allocates one (n, len(t), d)
+array, computes cos(2 pi m t) and sin(2 pi m t) once per frequency m in a
+table that lives for that call only, and writes each element's row from the
+table.  ``BasisElement.phi`` and ``.primitive`` are one-row stacks, so a
+single element and a stack row share one formula and one set of bytes.
+Callers that must not hold a whole stack take it in blocks of elements
+(:meth:`BasisFamily.blocks`).
 
 Enumeration order is a first-class knob: ``balanced`` walks the natural
 sequence above, ``adversarial:<K>`` (xi-mixed only) front-loads slots 1 and
 4 for frequencies 1..K before the deferred slots 2 and 3, which changes the
 value of order-sensitive diagonal sums.
+
+A prefix is exact on a grid of N cells (Gram matrix and trace entries to
+roundoff) when its trig frequencies stay below N/2 and its breakpoints lie
+on grid nodes; :meth:`BasisFamily.check_grid` enforces both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable
 
 import numpy as np
@@ -39,18 +51,85 @@ from .paths import TimeGrid
 Label = Hashable
 
 
+class _TrigTable:
+    """cos(w t) and sin(w t), w = 2 pi m, for one frequency m and one time
+    array, with the primitive quotients computed on first use.  A table lives
+    inside one stack call only."""
+
+    def __init__(self, t: np.ndarray, freq: int):
+        self.w = 2.0 * math.pi * freq
+        wt = self.w * t
+        self.cos = np.cos(wt)
+        self.sin = np.sin(wt)
+
+    @cached_property
+    def one_minus_cos(self) -> np.ndarray:
+        return 1.0 - self.cos
+
+    @cached_property
+    def int_cos(self) -> np.ndarray:
+        """int_0^t cos(w s) ds."""
+        return self.sin / self.w
+
+    @cached_property
+    def int_sin(self) -> np.ndarray:
+        """int_0^t sin(w s) ds."""
+        return self.one_minus_cos / self.w
+
+
+# writer(t, table, row) fills the zeroed (len(t), dim) ``row`` at times t from
+# the element's trig table (None for elements with freq = 0)
+Writer = Callable[[np.ndarray, "_TrigTable | None", np.ndarray], None]
+
+
 @dataclass(frozen=True)
 class BasisElement:
-    """One orthonormal element: evaluators for phi(t) and e(t) = int_0^t phi.
+    """One orthonormal element: writers of phi(t) and e(t) = int_0^t phi.
 
-    Both evaluators are vectorized: they accept an array of times with shape
-    (m,) and return values of shape (m, dim).
+    ``freq`` is the trigonometric frequency whose table the writers read (0
+    for none).  The evaluators :meth:`phi` and :meth:`primitive` accept an
+    array of times with shape (m,) and return values of shape (m, dim).
     """
 
     dim: int
     label: tuple
-    phi: Callable[[np.ndarray], np.ndarray]
-    primitive: Callable[[np.ndarray], np.ndarray]
+    write_phi: Writer
+    write_primitive: Writer
+    freq: int = 0
+
+    def phi(self, t: np.ndarray) -> np.ndarray:
+        return _stack([self], t, "write_phi")[0]
+
+    def primitive(self, t: np.ndarray) -> np.ndarray:
+        return _stack([self], t, "write_primitive")[0]
+
+
+def _stack(elements: list[BasisElement], t: np.ndarray, writer: str) -> np.ndarray:
+    """Rows of ``writer`` for each element at times t, shape (n, len(t), dim).
+
+    Elements of one frequency read one trig table, made and dropped here."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros((len(elements), len(t), elements[0].dim))
+    by_freq: dict[int, list[int]] = {}
+    for i, el in enumerate(elements):
+        by_freq.setdefault(el.freq, []).append(i)
+    for freq, rows in by_freq.items():
+        table = _TrigTable(t, freq) if freq else None
+        for i in rows:
+            getattr(elements[i], writer)(t, table, out[i])
+    return out
+
+
+STACK_BLOCK_BYTES = 1 << 22  # target size of one (elements, len(t), d) float64 block
+
+
+def row_blocks(m: int, width: int, budget: int) -> list[tuple[int, int]]:
+    """Split m rows of ``width`` float64 values each into near-equal blocks of
+    about ``budget`` bytes.  A block has one row only when m = 1: numpy sends a
+    one-row matrix-vector product down its dot route, which rounds differently."""
+    rows = max(2, budget // (8 * width))
+    count = max(1, min(-(-m // rows), m // 2))
+    return [(m * b // count, m * (b + 1) // count) for b in range(count)]
 
 
 @dataclass(frozen=True)
@@ -100,7 +179,10 @@ class BasisFamily:
 
     Instances are immutable; element evaluation is pure and reentrant.
     ``size`` is None for infinite families and the element count for finite
-    ones (the piecewise-linear levels).
+    ones (the piecewise-linear levels).  ``grid_needs(label)`` gives an
+    element's trig frequency m and the denominator q of its breakpoints
+    (multiples of 1/q), read from the label alone so that a prefix can be
+    checked against a grid without building its elements.
     """
 
     def __init__(
@@ -109,6 +191,7 @@ class BasisFamily:
         dim: int,
         natural_labels: Callable[[int], list],
         make_element: Callable[[tuple], BasisElement],
+        grid_needs: Callable[[tuple], tuple[int, int]],
         size: int | None = None,
         supports_adversarial: bool = False,
     ):
@@ -117,6 +200,7 @@ class BasisFamily:
         self.size = size
         self._natural_labels = natural_labels
         self._make_element = make_element
+        self._grid_needs = grid_needs
         self._supports_adversarial = supports_adversarial
         self._cache: dict[tuple, BasisElement] = {}
 
@@ -158,27 +242,68 @@ class BasisFamily:
         walks ``labels``, for stacks over a set that no single order lists."""
         labels = list(labels)
         return BasisFamily(
-            self.name, self.dim, lambda n: labels[:n], self.element, size=len(labels)
+            self.name,
+            self.dim,
+            lambda n: labels[:n],
+            self.element,
+            self._grid_needs,
+            size=len(labels),
         )
 
     def phi_stack(
         self, t: np.ndarray, n: int, order: EnumerationOrder | str | None = None
     ) -> np.ndarray:
         """Stacked evaluations phi_i(t), shape (n, len(t), dim)."""
-        return np.stack([el.phi(t) for el in self.elements(n, order)])
+        return _stack(self.elements(n, order), t, "write_phi")
 
     def primitive_stack(
         self, t: np.ndarray, n: int, order: EnumerationOrder | str | None = None
     ) -> np.ndarray:
         """Stacked primitives e_i(t), shape (n, len(t), dim)."""
-        return np.stack([el.primitive(t) for el in self.elements(n, order)])
+        return _stack(self.elements(n, order), t, "write_primitive")
+
+    def blocks(
+        self, n: int, order: EnumerationOrder | str | None, width: int
+    ) -> list[tuple[slice, "BasisFamily"]]:
+        """The first n elements as consecutive finite families, each with the
+        rows it covers: near-equal blocks of about STACK_BLOCK_BYTES per stack
+        at ``width`` times, at least two elements each (when n >= 2)."""
+        labels = self.labels(n, order)
+        return [
+            (slice(a, b), self.enumerating(labels[a:b]))
+            for a, b in row_blocks(n, width * self.dim, STACK_BLOCK_BYTES)
+        ]
 
     def primitive_cell_increments(
         self, grid: TimeGrid, n: int, order: EnumerationOrder | str | None = None
     ) -> np.ndarray:
-        """Exact cell integrals int_{t_k}^{t_{k+1}} phi_i, shape (n, N, dim)."""
-        prim = self.primitive_stack(grid.times, n, order)
-        return np.diff(prim, axis=1)
+        """Exact cell integrals int_{t_k}^{t_{k+1}} phi_i, shape (n, N, dim).
+
+        The primitives at the nodes are stacked one block of elements at a
+        time, so no (n, N+1, dim) stack is held beside the result."""
+        out = np.empty((n, grid.num_steps, self.dim))
+        for rows, block in self.blocks(n, order, len(grid.times)):
+            prim = block.primitive_stack(grid.times, block.size)
+            np.subtract(prim[:, 1:], prim[:, :-1], out=out[rows])
+        return out
+
+    def check_grid(
+        self, grid: int, n: int, order: EnumerationOrder | str | None = None
+    ) -> None:
+        """Raise ValueError unless the first n elements are exact on ``grid``
+        cells: trig frequencies below grid / 2 and breakpoints on grid nodes."""
+        for label in self.labels(n, order):
+            freq, knots = self._grid_needs(label)
+            if 2 * freq >= grid:
+                raise ValueError(
+                    f"{self.name} prefix {n} reaches frequency {freq}, "
+                    f"not below the Nyquist limit {grid}/2 of grid {grid}"
+                )
+            if grid % knots:
+                raise ValueError(
+                    f"{self.name} prefix {n} has breakpoints at multiples of "
+                    f"1/{knots}; {knots} does not divide grid {grid}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -188,74 +313,55 @@ class BasisFamily:
 _SQRT2 = math.sqrt(2.0)
 
 
-def _unit_slot(t: np.ndarray, dim: int, slot: int, values: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(t), dim))
-    out[:, slot] = values
-    return out
-
-
 def _const_element(dim: int, slot: int, family: str) -> BasisElement:
-    def phi(t: np.ndarray) -> np.ndarray:
-        return _unit_slot(t, dim, slot, np.ones(len(t)))
+    def phi(t, table, row):
+        row[:, slot] = 1.0
 
-    def primitive(t: np.ndarray) -> np.ndarray:
-        return _unit_slot(t, dim, slot, np.asarray(t, dtype=float))
+    def primitive(t, table, row):
+        row[:, slot] = t
 
     return BasisElement(dim, (family, "const", slot), phi, primitive)
 
 
 def _trig_slot_element(dim: int, slot: int, freq: int, kind: str, family: str) -> BasisElement:
-    w = 2.0 * math.pi * freq
-
     if kind == "cos":
 
-        def phi(t):
-            return _unit_slot(t, dim, slot, _SQRT2 * np.cos(w * np.asarray(t)))
+        def phi(t, table, row):
+            row[:, slot] = _SQRT2 * table.cos
 
-        def primitive(t):
-            return _unit_slot(t, dim, slot, _SQRT2 * np.sin(w * np.asarray(t)) / w)
+        def primitive(t, table, row):
+            row[:, slot] = _SQRT2 * table.sin / table.w
 
     else:
 
-        def phi(t):
-            return _unit_slot(t, dim, slot, _SQRT2 * np.sin(w * np.asarray(t)))
+        def phi(t, table, row):
+            row[:, slot] = _SQRT2 * table.sin
 
-        def primitive(t):
-            return _unit_slot(t, dim, slot, _SQRT2 * (1.0 - np.cos(w * np.asarray(t))) / w)
+        def primitive(t, table, row):
+            row[:, slot] = _SQRT2 * table.one_minus_cos / table.w
 
-    return BasisElement(dim, (family, freq, slot, kind), phi, primitive)
+    return BasisElement(dim, (family, freq, slot, kind), phi, primitive, freq=freq)
 
 
 def _mixed_element(freq: int, slot: int) -> BasisElement:
     # slot 1: ( cos, sin)   slot 2: ( sin, cos)
     # slot 3: (-cos, sin)   slot 4: (-sin, cos)
-    w = 2.0 * math.pi * freq
     sign = -1.0 if slot in (3, 4) else 1.0
     first_is_cos = slot in (1, 3)
 
-    def phi(t):
-        t = np.asarray(t, dtype=float)
-        c, s = np.cos(w * t), np.sin(w * t)
-        out = np.empty((len(t), 2))
-        out[:, 0] = sign * (c if first_is_cos else s)
-        out[:, 1] = s if first_is_cos else c
-        return out
+    def phi(t, table, row):
+        row[:, 0] = sign * (table.cos if first_is_cos else table.sin)
+        row[:, 1] = table.sin if first_is_cos else table.cos
 
-    def primitive(t):
-        t = np.asarray(t, dtype=float)
-        ic = np.sin(w * t) / w          # primitive of cos
-        is_ = (1.0 - np.cos(w * t)) / w  # primitive of sin
-        out = np.empty((len(t), 2))
-        out[:, 0] = sign * (ic if first_is_cos else is_)
-        out[:, 1] = is_ if first_is_cos else ic
-        return out
+    def primitive(t, table, row):
+        row[:, 0] = sign * (table.int_cos if first_is_cos else table.int_sin)
+        row[:, 1] = table.int_sin if first_is_cos else table.int_cos
 
-    return BasisElement(2, ("xi", freq, slot), phi, primitive)
+    return BasisElement(2, ("xi", freq, slot), phi, primitive, freq=freq)
 
 
 def _indicator(t: np.ndarray, a: float, b: float) -> np.ndarray:
     """Half-open indicator of [a, b), closed at the right if b == 1."""
-    t = np.asarray(t, dtype=float)
     hit = (t >= a) & (t < b)
     if b >= 1.0:
         hit |= t == 1.0
@@ -268,14 +374,11 @@ def _haar_element(dim: int, slot: int, level: int, pos: int) -> BasisElement:
     b = (pos + 1.0) / 2.0**level
     amp = 2.0 ** (level / 2.0)
 
-    def phi(t):
-        vals = amp * (_indicator(t, a, mid) - _indicator(t, mid, b))
-        return _unit_slot(np.asarray(t), dim, slot, vals)
+    def phi(t, table, row):
+        row[:, slot] = amp * (_indicator(t, a, mid) - _indicator(t, mid, b))
 
-    def primitive(t):
-        t = np.asarray(t, dtype=float)
-        vals = amp * (np.clip(t, a, mid) - a) - amp * (np.clip(t, mid, b) - mid)
-        return _unit_slot(t, dim, slot, vals)
+    def primitive(t, table, row):
+        row[:, slot] = amp * (np.clip(t, a, mid) - a) - amp * (np.clip(t, mid, b) - mid)
 
     return BasisElement(dim, ("haar", level, pos, slot), phi, primitive)
 
@@ -285,13 +388,11 @@ def _ramp_element(dim: int, slot: int, level: int, pos: int) -> BasisElement:
     b = (pos + 1.0) / level
     amp = math.sqrt(level)
 
-    def phi(t):
-        vals = amp * _indicator(t, a, b)
-        return _unit_slot(np.asarray(t), dim, slot, vals)
+    def phi(t, table, row):
+        row[:, slot] = amp * _indicator(t, a, b)
 
-    def primitive(t):
-        t = np.asarray(t, dtype=float)
-        return _unit_slot(t, dim, slot, amp * (np.clip(t, a, b) - a))
+    def primitive(t, table, row):
+        row[:, slot] = amp * (np.clip(t, a, b) - a)
 
     return BasisElement(dim, ("plin", level, pos, slot), phi, primitive)
 
@@ -299,6 +400,11 @@ def _ramp_element(dim: int, slot: int, level: int, pos: int) -> BasisElement:
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
+
+
+def _trig_needs(label: tuple) -> tuple[int, int]:
+    # trig labels lead with their frequency; constants have no breakpoints
+    return (0, 1) if label[0] == "const" else (label[0], 1)
 
 
 def component_trig_basis(d: int) -> BasisFamily:
@@ -326,7 +432,7 @@ def component_trig_basis(d: int) -> BasisFamily:
         freq, slot, kind = label
         return _trig_slot_element(d, slot, freq, kind, "psi")
 
-    return BasisFamily("psi-trig", d, natural, make)
+    return BasisFamily("psi-trig", d, natural, make, _trig_needs)
 
 
 def mixed_trig_basis() -> BasisFamily:
@@ -350,7 +456,7 @@ def mixed_trig_basis() -> BasisFamily:
             return _const_element(2, label[1], "xi")
         return _mixed_element(*label)
 
-    return BasisFamily("xi-mixed", 2, natural, make, supports_adversarial=True)
+    return BasisFamily("xi-mixed", 2, natural, make, _trig_needs, supports_adversarial=True)
 
 
 def _adversarial_labels(n: int, front_load: int) -> list:
@@ -390,7 +496,11 @@ def haar_basis(d: int) -> BasisFamily:
         level, pos, slot = label
         return _haar_element(d, slot, level, pos)
 
-    return BasisFamily("haar", d, natural, make)
+    def grid_needs(label: tuple) -> tuple[int, int]:
+        # level l has breakpoints at multiples of 2^-(l+1)
+        return (0, 1) if label[0] == "const" else (0, 2 ** (label[0] + 1))
+
+    return BasisFamily("haar", d, natural, make, grid_needs)
 
 
 def piecewise_linear_basis(level_n: int, d: int) -> BasisFamily:
@@ -412,7 +522,7 @@ def piecewise_linear_basis(level_n: int, d: int) -> BasisFamily:
         return _ramp_element(d, slot, level_n, pos)
 
     return BasisFamily(
-        f"plin:{level_n}", d, natural, make, size=d * level_n
+        f"plin:{level_n}", d, natural, make, lambda label: (0, level_n), size=d * level_n
     )
 
 

@@ -25,16 +25,8 @@ from .spectral import discretized_L_spectrum
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value experiment file")
-    p.add_argument("--field", help="field spec: linear:h1,k1,h2,k2 or id1d")
-    p.add_argument("--basis-a", dest="basis_a", help="basis spec for slot a")
-    p.add_argument("--basis-b", dest="basis_b", help="basis spec for slot b")
-    p.add_argument("--order-a", dest="order_a", help="enumeration order for slot a")
-    p.add_argument("--order-b", dest="order_b", help="enumeration order for slot b")
-    p.add_argument("--grid", type=int, help="number of grid steps")
-    p.add_argument("--paths", type=int, help="ensemble size M")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--schedule", help="comma-separated truncation schedule")
-    p.add_argument("--out", help="output CSV path (stdout when omitted)")
+    for key, spec in harness.CONFIG_KEYS.items():
+        p.add_argument("--" + key.replace(".", "-"), dest=spec.attr, help=spec.help)
 
 
 def _add_assert_flags(p: argparse.ArgumentParser) -> None:
@@ -56,21 +48,10 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     raw: dict[str, str] = {}
     if args.config:
         raw.update(harness.parse_config_file(args.config))
-    flag_map = {
-        "field": args.field,
-        "basis.a": args.basis_a,
-        "basis.b": args.basis_b,
-        "order.a": args.order_a,
-        "order.b": args.order_b,
-        "grid": args.grid,
-        "paths": args.paths,
-        "seed": args.seed,
-        "schedule": args.schedule,
-        "out": args.out,
-    }
-    for key, value in flag_map.items():
+    for key, spec in harness.CONFIG_KEYS.items():
+        value = getattr(args, spec.attr)
         if value is not None:
-            raw[key] = str(value)
+            raw[key] = value
     return harness.config_from_mapping(raw)
 
 

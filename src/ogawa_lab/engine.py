@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bases import BasisElement, BasisFamily, EnumerationOrder
+from .bases import BasisFamily, EnumerationOrder
 from .fields import VectorField, evaluate_G
 from .paths import SamplePath, approximate_wiener, project_coefficients
 
@@ -157,24 +157,20 @@ def diagonal_entries(
 
     Each summand is int_0^1 phi_i(t) . (e_i(t) . grad) alpha(omega(t)) dt by
     cell-midpoint quadrature; the running renormalization term is the
-    cumulative sum of this array.
+    cumulative sum of this array.  The elements are taken in blocks of at
+    least two (:meth:`BasisFamily.blocks`): the midpoint phi and primitive
+    stacks and their Jacobian product are held for one block at a time, never
+    for all n, and each block runs the same two einsums, which give every
+    entry the bytes of one einsum pair over all n.
     """
     mids = path.grid.midpoints
-    phi = family.phi_stack(mids, n, order)
-    prim = family.primitive_stack(mids, n, order)
     jac = _midpoint_jacobians(field, path)  # (N, d, d)
-    je = np.einsum("kjl,ikl->ikj", jac, prim)
-    return np.einsum("ikj,ikj->i", phi, je) * path.grid.dt
-
-
-def diagonal_entry(field: VectorField, path: SamplePath, elem: BasisElement) -> float:
-    """Single trace summand <phi, T phi> for one basis element."""
-    mids = path.grid.midpoints
-    phi = elem.phi(mids)
-    prim = elem.primitive(mids)
-    jac = _midpoint_jacobians(field, path)
-    je = np.einsum("kjl,kl->kj", jac, prim)
-    return float(np.sum(phi * je) * path.grid.dt)
+    entries = np.empty(n)
+    for rows, block in family.blocks(n, order, len(mids)):
+        phi = block.phi_stack(mids, block.size)
+        je = np.einsum("kjl,ikl->ikj", jac, block.primitive_stack(mids, block.size))
+        entries[rows] = np.einsum("ikj,ikj->i", phi, je)
+    return entries * path.grid.dt
 
 
 def renormalization_term(

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bases import BasisFamily
+from .bases import BasisFamily, row_blocks
 from .engine import OgawaLedger, TruncationStage, diagonal_entries
 from .fields import VectorField
 from .paths import RngSpec, SamplePath, TimeGrid, brownian_increments
@@ -150,15 +150,6 @@ def _plan_stages(
 ROW_BLOCK_BYTES = 1 << 20  # target size of one (rows, N+1, d) float64 path block
 
 
-def _row_blocks(m: int, width: int) -> list[tuple[int, int]]:
-    """Split m chunk rows of ``width`` values each into near-equal blocks of
-    about ROW_BLOCK_BYTES.  A block has one row only when m = 1: numpy sends a
-    one-row matrix-vector product down its dot route, which rounds differently."""
-    rows = max(2, ROW_BLOCK_BYTES // (8 * width))
-    count = max(1, min(-(-m // rows), m // 2))
-    return [(m * b // count, m * (b + 1) // count) for b in range(count)]
-
-
 def build_ensemble_ledgers(
     field: VectorField,
     stage_lists: Sequence[Sequence[TruncationStage]],
@@ -199,7 +190,7 @@ def build_ensemble_ledgers(
     chunk = min(chunk_size, num_paths)
     width = (n_steps + 1) * dim
     sizes = {chunk, num_paths % chunk or chunk}
-    max_rows = max(b - a for m in sizes for a, b in _row_blocks(m, width))
+    max_rows = max(b - a for m in sizes for a, b in row_blocks(m, width, ROW_BLOCK_BYTES))
     dw_buf = np.empty((chunk, n_steps, dim))
     favg_buf = np.empty_like(dw_buf)
     dwn_buf = np.empty_like(dw_buf) if with_gprime else None
@@ -219,7 +210,7 @@ def build_ensemble_ledgers(
     for start in range(0, num_paths, chunk_size):
         stop = min(start + chunk_size, num_paths)
         m = stop - start
-        blocks = _row_blocks(m, width)
+        blocks = row_blocks(m, width, ROW_BLOCK_BYTES)
         dw, favg = dw_buf[:m], favg_buf[:m]
         for i in range(m):
             dw[i] = brownian_increments(grid, dim, rng, start + i)

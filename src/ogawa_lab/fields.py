@@ -222,33 +222,6 @@ class DiscreteKernel:
         frob = np.einsum("kji,kji->k", self.jacobians, self.jacobians)
         return float(np.sum(w * frob * inner))
 
-    def dense(self) -> np.ndarray:
-        """Materialize the kernel as an array K[j, k, l, i] (small grids only)."""
-        n = self.grid.num_steps
-        if (n + 1) ** 2 * self.dim**2 > 2 * 10**7:
-            raise ValueError("dense kernel requested on too fine a grid")
-        chi = np.zeros((n + 1, n + 1))
-        rows, cols = np.tril_indices(n + 1, k=-1)
-        chi[rows, cols] = 1.0
-        np.fill_diagonal(chi, 0.5)
-        # K[j, k, l, i] = jac[k, j, i] * chi[k, l]
-        return np.einsum("kji,kl->jkli", self.jacobians, chi)
-
-    def dense_hs_norm_squared(self) -> float:
-        """Squared Frobenius norm of the materialized kernel times cell areas.
-
-        The indicator is a projector (chi^2 = chi), so the squared kernel
-        keeps the half-weight diagonal linearly instead of squaring it.
-        """
-        n = self.grid.num_steps
-        w = _trapezoid_weights(self.grid)
-        chi = np.zeros((n + 1, n + 1))
-        rows, cols = np.tril_indices(n + 1, k=-1)
-        chi[rows, cols] = 1.0
-        np.fill_diagonal(chi, 0.5)
-        frob = np.einsum("kji,kji->k", self.jacobians, self.jacobians)
-        return float(np.einsum("k,kl,k,l->", frob, chi, w, w))
-
 
 def kernel_T(field: VectorField, path: SamplePath) -> DiscreteKernel:
     """Discretize the conjugated operator U^{-1} DG(omega) U along a path."""

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,18 +42,26 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-# config key -> (ExperimentConfig attribute, parser of the text value)
+class ConfigKey(NamedTuple):
+    """One config key: the ExperimentConfig attribute it sets, the parser of
+    its text value, and the help of its flag (``--`` + key, '.' -> '-')."""
+
+    attr: str
+    parse: Callable[[str], object]
+    help: str
+
+
 CONFIG_KEYS = {
-    "field": ("field", str),
-    "basis.a": ("basis_a", str),
-    "basis.b": ("basis_b", str),
-    "order.a": ("order_a", str),
-    "order.b": ("order_b", str),
-    "grid": ("grid", int),
-    "paths": ("paths", int),
-    "seed": ("seed", int),
-    "schedule": ("schedule", _parse_schedule),
-    "out": ("out", str),
+    "field": ConfigKey("field", str, "field spec: linear:h1,k1,h2,k2 or id1d"),
+    "basis.a": ConfigKey("basis_a", str, "basis spec for slot a"),
+    "basis.b": ConfigKey("basis_b", str, "basis spec for slot b"),
+    "order.a": ConfigKey("order_a", str, "enumeration order for slot a"),
+    "order.b": ConfigKey("order_b", str, "enumeration order for slot b"),
+    "grid": ConfigKey("grid", int, "number of grid steps"),
+    "paths": ConfigKey("paths", int, "ensemble size M"),
+    "seed": ConfigKey("seed", int, "master seed"),
+    "schedule": ConfigKey("schedule", _parse_schedule, "comma-separated truncation schedule"),
+    "out": ConfigKey("out", str, "output CSV path (stdout when omitted)"),
 }
 
 DEFAULT_SCHEDULE = (4, 16, 64, 256)
@@ -115,7 +123,7 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
             continue
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        attr, parse = CONFIG_KEYS[key]
+        attr, parse, _ = CONFIG_KEYS[key]
         try:
             updates[attr] = parse(value)
         except ValueError as exc:
@@ -153,38 +161,30 @@ def resolve_stages(
     """Turn a basis spec into truncation stages, one per schedule entry.
 
     ``plin`` reads schedule entries as levels (one finite family each, taken
-    in full); any other family reads them as prefix lengths.  Piecewise-
-    linear knots must divide the grid so that knots land on grid nodes.
+    in full); any other family reads them as prefix lengths.  Every stage
+    must be exact on the grid (:meth:`BasisFamily.check_grid`): trig
+    frequencies below grid / 2, breakpoints on grid nodes.
     """
     if min(schedule, default=1) < 1:
         raise ConfigError(f"schedule entries must be >= 1, got {tuple(schedule)}")
     try:
         order = EnumerationOrder.parse(order_spec)
         if basis_spec == "plin":
-            stages = []
-            for level in schedule:
-                if grid % level != 0:
-                    raise ConfigError(
-                        f"piecewise-linear level {level} does not divide grid {grid}"
-                    )
-                fam = piecewise_linear_basis(level, dim)
-                fam.labels(1, order)  # fail fast on incompatible orders
-                stages.append(TruncationStage(level, fam, dim * level, order))
-            return stages
-        fam = family_from_name(basis_spec, dim)
-        if fam.size is not None:
+            stages = [
+                TruncationStage(level, piecewise_linear_basis(level, dim), dim * level, order)
+                for level in schedule
+            ]
+        else:
+            fam = family_from_name(basis_spec, dim)
             for n in schedule:
-                if n > fam.size:
+                if fam.size is not None and n > fam.size:
                     raise ConfigError(
                         f"schedule entry {n} exceeds the {fam.size} elements of {fam.name}"
                     )
-            if grid % (fam.size // dim) != 0:
-                raise ConfigError(
-                    f"piecewise-linear level {fam.size // dim} does not divide grid {grid}"
-                )
-        # Fail fast on orders the family cannot enumerate.
-        fam.labels(1, order)
-        return [TruncationStage(int(n), fam, int(n), order) for n in schedule]
+            stages = [TruncationStage(int(n), fam, int(n), order) for n in schedule]
+        for st in stages:
+            st.family.check_grid(grid, st.n_elements, order)
+        return stages
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -334,18 +334,6 @@ def emit_report(report: ConvergenceReport, file) -> None:
     finally:
         if close:
             file.close()
-
-
-def parse_report(file) -> ConvergenceReport:
-    if isinstance(file, (str, Path, bytes)):
-        with open(file, "r", newline="") as fh:
-            return parse_report(fh)
-    rows = []
-    lines = [line.strip() for line in file if line.strip()]
-    for line in lines[1:]:
-        estimator, n, value, stderr, m = line.split(",")
-        rows.append(EstimatorRow(estimator, int(n), float(value), float(stderr), int(m)))
-    return ConvergenceReport(tuple(rows))
 
 
 def emit_r_table(rows: Sequence[tuple[str, int, float]], file) -> None:

@@ -203,13 +203,3 @@ def dump_path_csv(path: SamplePath, file) -> None:
         if close:
             file.close()
 
-
-def load_path_csv(file, grid: TimeGrid | None = None) -> SamplePath:
-    """Inverse of :func:`dump_path_csv` (round-trip helper for tests)."""
-    if isinstance(file, (str, bytes)):
-        with open(file, "r", newline="") as fh:
-            return load_path_csv(fh, grid)
-    rows = [line.strip() for line in file if line.strip()]
-    data = np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
-    g = grid or TimeGrid(data.shape[0] - 1)
-    return SamplePath(g, data[:, 1:])

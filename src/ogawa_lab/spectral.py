@@ -101,14 +101,6 @@ class SpectrumReport:
             )
 
 
-def eigenfunction_values(
-    t: np.ndarray, n: int, j: int, form: QuadraticFormMatrix
-) -> np.ndarray:
-    """Closed-form eigenfunction sin((pi/2 + n pi) t) u_j on given times, (m, 2)."""
-    shape = np.sin((math.pi / 2 + n * math.pi) * np.asarray(t, dtype=float))
-    return shape[:, None] * form.eigenvectors[:, j][None, :]
-
-
 def closed_form_spectrum(form: QuadraticFormMatrix, count: int) -> SpectrumReport:
     """Closed-form eigenvalues lambda_{n,j} for n = 0..count-1."""
     if count < 1:

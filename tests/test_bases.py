@@ -16,6 +16,9 @@ from ogawa_lab import (
     piecewise_linear_basis,
     regularity_diagnostic,
 )
+from ogawa_lab import bases
+
+from oracles import closed_form
 
 FINE = TimeGrid(2**14)
 
@@ -195,6 +198,103 @@ class TestPrimitiveConsistency:
         for el in fam.elements(n):
             diff = (el.primitive(t + h) - el.primitive(t - h)) / (2 * h)
             assert np.abs(diff - el.phi(t)).max() <= 2e-3
+
+
+class TestStackBytes:
+    """Stacks read one trig table per frequency and write rows in place; every
+    row must hold the bytes of the element evaluated alone and of its closed
+    form with its own cos/sin calls."""
+
+    GRID = TimeGrid(96)
+    TIMES = {
+        "left nodes": GRID.times[:-1],
+        "nodes": GRID.times,
+        "midpoints": GRID.midpoints,
+        "odd": np.linspace(0.0, 1.0, 37) ** 1.5,
+    }
+    CASES = {
+        "psi-1d": (component_trig_basis(1), "balanced", 40),
+        "psi-2d": (component_trig_basis(2), "balanced", 40),
+        "xi-balanced": (mixed_trig_basis(), "balanced", 40),
+        "xi-adversarial:4": (mixed_trig_basis(), "adversarial:4", 40),
+        "haar-2d": (haar_basis(2), "balanced", 64),
+        "plin:8": (piecewise_linear_basis(8, 2), "balanced", 16),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("where", sorted(TIMES))
+    def test_stacks_equal_single_elements(self, case, where):
+        fam, order, n = self.CASES[case]
+        t = self.TIMES[where]
+        elements = fam.elements(n, order)
+        phi, prim = fam.phi_stack(t, n, order), fam.primitive_stack(t, n, order)
+        assert np.array_equal(phi, np.stack([el.phi(t) for el in elements]))
+        assert np.array_equal(prim, np.stack([el.primitive(t) for el in elements]))
+        for i, el in enumerate(elements):
+            ref_phi, ref_prim = closed_form(el.label, fam.dim, t)
+            assert np.array_equal(phi[i], ref_phi), el.label
+            assert np.array_equal(prim[i], ref_prim), el.label
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("elements_per_block", [2, 3, None])
+    def test_cell_increments_equal_diff_of_primitives(self, case, elements_per_block, monkeypatch):
+        fam, order, n = self.CASES[case]
+        nodes = self.GRID.times
+        if elements_per_block is not None:
+            budget = elements_per_block * 8 * len(nodes) * fam.dim
+            monkeypatch.setattr(bases, "STACK_BLOCK_BYTES", budget)
+        got = fam.primitive_cell_increments(self.GRID, n, order)
+        assert np.array_equal(got, np.diff(fam.primitive_stack(nodes, n, order), axis=1))
+
+    def test_blocks_cover_the_prefix(self, monkeypatch):
+        fam = mixed_trig_basis()
+        monkeypatch.setattr(bases, "STACK_BLOCK_BYTES", 3 * 8 * 10 * fam.dim)
+        for n in (1, 2, 3, 7, 40):
+            blocks = fam.blocks(n, "adversarial:4", 10)
+            assert [r.start for r, _ in blocks] == [0] + [r.stop for r, _ in blocks[:-1]]
+            assert blocks[-1][0].stop == n
+            assert all(b.size >= 2 for _, b in blocks) or n == 1
+            labels = [lab for _, b in blocks for lab in b.labels(b.size)]
+            assert labels == fam.labels(n, "adversarial:4")
+
+
+class TestCheckGrid:
+    """A prefix that passes check_grid has a midpoint Gram matrix equal to the
+    identity to roundoff.  For the single-slot families the converse holds
+    too; xi-mixed elements have |phi| = 1 everywhere, so a partial block at
+    the Nyquist frequency can still have an exact Gram matrix (its trace
+    entries are not exact there)."""
+
+    @pytest.mark.parametrize(
+        "fam, converse",
+        [
+            (component_trig_basis(1), True),
+            (component_trig_basis(2), True),
+            (mixed_trig_basis(), False),
+            (haar_basis(1), True),
+            (haar_basis(2), True),
+            (piecewise_linear_basis(3, 1), True),
+            (piecewise_linear_basis(4, 2), True),
+        ],
+        ids=lambda v: f"{v.name}-{v.dim}d" if isinstance(v, bases.BasisFamily) else "",
+    )
+    def test_accepted_prefixes_have_exact_gram(self, fam, converse):
+        for steps in range(1, 34):
+            grid = TimeGrid(steps)
+            for n in range(1, min(fam.size or 40, 40) + 1):
+                exact = np.abs(gram_matrix(fam, n, grid) - np.eye(n)).max() <= 1e-12
+                try:
+                    fam.check_grid(steps, n)
+                except ValueError:
+                    assert not (converse and exact), (steps, n)
+                else:
+                    assert exact, (steps, n)
+
+    def test_adversarial_order_reaches_higher_frequencies(self):
+        fam = mixed_trig_basis()
+        fam.check_grid(64, 10)  # frequencies 1, 2
+        with pytest.raises(ValueError, match="Nyquist"):
+            fam.check_grid(64, 66, "adversarial:32")  # frequency 32 = 64 / 2
 
 
 class TestRegularity:

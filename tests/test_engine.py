@@ -17,7 +17,6 @@ from ogawa_lab import (
     component_trig_basis,
     conversion_gap,
     diagonal_entries,
-    diagonal_entry,
     dump_ledgers_csv,
     field_from_name,
     haar_basis,
@@ -37,6 +36,7 @@ from ogawa_lab import (
 )
 
 from field_helpers import constant_field, sine_field_1d, skew_field, swirl_field
+from oracles import diagonal_entries_one_block, diagonal_entry
 
 
 class TestPartialSums:
@@ -408,6 +408,43 @@ class TestPrefixPlan:
             assert multi.trace_entries is None
 
 
+class TestBlockedDiagonalEntries:
+    """diagonal_entries takes the elements in blocks of at least two; each
+    entry must keep the bytes of one einsum pair over all n elements."""
+
+    GRID = TimeGrid(1024)
+
+    @pytest.mark.parametrize("n", [1, 3, 64, 1024])
+    @pytest.mark.parametrize(
+        "case", ["xi-balanced", "xi-adversarial:100", "psi-trig", "haar", "skew-xi", "skew-haar"]
+    )
+    @pytest.mark.parametrize("elements_per_block", [2, 5, None])
+    def test_blocks_equal_one_einsum(self, n, case, elements_per_block, monkeypatch):
+        from ogawa_lab import bases
+
+        linear = field_from_name("linear:0.25,0.25,1.25,0.75")
+        fld, basis, order = {
+            "xi-balanced": (linear, "xi-mixed", "balanced"),
+            "xi-adversarial:100": (linear, "xi-mixed", "adversarial:100"),
+            "psi-trig": (linear, "psi-trig", "balanced"),
+            "haar": (linear, "haar", "balanced"),
+            "skew-xi": (skew_field(), "xi-mixed", "adversarial:4"),
+            "skew-haar": (skew_field(), "haar", "balanced"),
+        }[case]
+        fam = harness.resolve_stages(basis, order, 2, [n], self.GRID.num_steps)[0].family
+        if elements_per_block is not None:
+            width = len(self.GRID.midpoints) * fam.dim
+            monkeypatch.setattr(bases, "STACK_BLOCK_BYTES", elements_per_block * 8 * width)
+        # the zero path of the ensemble plan for a constant Jacobian, else a Wiener path
+        path = (
+            SamplePath.zero(self.GRID, 2)
+            if fld.constant_jacobian
+            else sample_brownian(self.GRID, 2, RngSpec(17), 3)
+        )
+        got = diagonal_entries(fld, path, fam, n, order)
+        assert np.array_equal(got, diagonal_entries_one_block(fld, path, fam, n, order))
+
+
 class TestUnionPlan:
     """Stage lists of one family share one plan over the union of their
     labels; a call with two lists must give the bytes of one call per list."""
@@ -448,15 +485,20 @@ class TestUnionPlan:
                     assert np.array_equal(a, b), (case, got.order, col)
 
     def test_order_experiment_evaluates_union_once(self, monkeypatch):
+        from ogawa_lab import bases
         from ogawa_lab import ensemble as ens
         from ogawa_lab.bases import BasisFamily
 
+        # blocks of 10 elements at 1024 or 1025 times (d = 2), so the blocked
+        # stacks split into several calls
+        per_block = 10
+        monkeypatch.setattr(bases, "STACK_BLOCK_BYTES", per_block * 8 * 1025 * 2)
         evaluated, traces = [], []
         for name in ("phi_stack", "primitive_stack"):
             original = getattr(BasisFamily, name)
 
             def counted(self, t, n, order=None, _original=original, _name=name):
-                evaluated.append((_name, len(t), self.labels(n, order)))
+                evaluated.append(((_name, len(t), float(t[0])), self.labels(n, order)))
                 return _original(self, t, n, order)
 
             monkeypatch.setattr(BasisFamily, name, counted)
@@ -477,12 +519,20 @@ class TestUnionPlan:
         balanced, adv = fam.labels(64), fam.labels(64, "adversarial:20")
         union = list(dict.fromkeys(balanced + adv))
         assert len(union) > 64  # adversarial:20 needs labels beyond balanced's prefix
-        # left nodes, cell-integral nodes, and the trace's midpoints, once each
-        assert sorted((name, m) for name, m, _ in evaluated) == [
-            ("phi_stack", 1024), ("phi_stack", 1024),
-            ("primitive_stack", 1024), ("primitive_stack", 1025),
+        # left nodes (one call), cell-integral nodes and the trace's midpoints
+        # (blocks): each stack kind's calls list the union once, in order
+        kinds: dict = {}
+        for kind, labels in evaluated:
+            kinds.setdefault(kind, []).append(labels)
+        half_cell = 0.5 / cfg.grid
+        assert sorted(kinds) == [
+            ("phi_stack", 1024, 0.0), ("phi_stack", 1024, half_cell),
+            ("primitive_stack", 1024, half_cell), ("primitive_stack", 1025, 0.0),
         ]
-        assert all(labels == union for _, _, labels in evaluated)
+        for kind, blocks in kinds.items():
+            assert [lab for labels in blocks for lab in labels] == union, kind
+            expected = 1 if kind == ("phi_stack", 1024, 0.0) else -(-len(union) // per_block)
+            assert len(blocks) == expected, kind
         assert traces == [len(union)]
         probe = SamplePath.zero(TimeGrid(cfg.grid), 2)
         fld = harness.resolve_field(cfg)

@@ -19,6 +19,7 @@ from ogawa_lab import (
 )
 
 from field_helpers import constant_field, swirl_field
+from oracles import dense_hs_norm_squared, dense_kernel
 
 
 class TestEvaluateG:
@@ -115,7 +116,7 @@ class TestKernel:
     def test_linear_kernel_rows(self):
         fld = LinearField(0.3, -1.1, 0.7, 0.5)
         path = sample_brownian(TimeGrid(32), 2, RngSpec(6), 0)
-        dense = kernel_T(fld, path).dense()  # (j, k, l, i)
+        dense = dense_kernel(kernel_T(fld, path))  # (j, k, l, i)
         # below the diagonal: row j of the Jacobian, independent of omega
         assert np.allclose(dense[0, 10, 3], [0.3, -1.1])
         assert np.allclose(dense[1, 10, 3], [0.7, 0.5])
@@ -161,7 +162,7 @@ class TestHsNorm:
         fld = LinearField(0.3, -1.1, 0.7, 0.5)
         path = sample_brownian(TimeGrid(256), 2, RngSpec(11), 0)
         ker = kernel_T(fld, path)
-        assert ker.dense_hs_norm_squared() == pytest.approx(
+        assert dense_hs_norm_squared(ker) == pytest.approx(
             ker.hs_norm_squared(), rel=1e-12
         )
 
@@ -175,7 +176,7 @@ class TestHsNorm:
     def test_dense_guard(self):
         path = sample_brownian(TimeGrid(2**12), 2, RngSpec(0), 0)
         with pytest.raises(ValueError, match="too fine"):
-            kernel_T(LinearField(1, 0, 0, 1), path).dense()
+            dense_kernel(kernel_T(LinearField(1, 0, 0, 1), path))
 
 
 class TestRamer:

@@ -14,12 +14,13 @@ from ogawa_lab.harness import (
     config_from_mapping,
     emit_report,
     parse_config_file,
-    parse_report,
     run_convergence,
     run_order_dependence,
     run_ramer_battery,
     store_expectations,
 )
+
+from oracles import parse_report
 
 
 class TestConfig:
@@ -79,6 +80,21 @@ class TestConfig:
         cfg = ExperimentConfig(basis_a="wavelets", paths=2, grid=64, schedule=(2,))
         with pytest.raises(ConfigError, match="unknown basis"):
             run_convergence(cfg)
+
+
+def test_benchmark_configs_resolve(monkeypatch):
+    """Every perfbench workload still validates and resolves its stages."""
+    import importlib.util
+    from pathlib import Path
+
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("perfbench_child", bench / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    assert len(child.WORKLOADS) == 4
+    for name, make in child.WORKLOADS.items():
+        make(8161)  # raises ConfigError if a stage list no longer resolves
 
 
 class TestRunConvergence:
@@ -300,6 +316,24 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         return err[0]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--basis-a", "psi-trig", "--grid", "64", "--schedule", "4,16,64,256"], "Nyquist"),
+            (["--basis-a", "haar", "--grid", "1000"], "does not divide grid 1000"),
+        ],
+    )
+    def test_inexact_grid_exit_2(self, tmp_path, capsys, args, message):
+        # trig frequencies at or past N/2, and Haar breakpoints off the grid
+        out = tmp_path / "rep.csv"
+        assert self.run_cli("converge", *args, "--paths", "2", "--out", str(out)) == 2
+        assert message in self.config_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_integer_flag_value_exit_2(self, capsys):
+        assert self.run_cli("converge", "--grid", "abc", "--paths", "2") == 2
+        assert "bad grid 'abc'" in self.config_error_line(capsys)
 
     def test_non_integer_config_value_exit_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"

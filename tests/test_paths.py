@@ -12,11 +12,12 @@ from ogawa_lab import (
     component_trig_basis,
     dump_path_csv,
     haar_basis,
-    load_path_csv,
     paley_wiener,
     project_coefficients,
     sample_brownian,
 )
+
+from oracles import load_path_csv
 
 
 def linear_drift_path(grid: TimeGrid) -> SamplePath:

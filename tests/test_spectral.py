@@ -15,7 +15,6 @@ from ogawa_lab import (
     TimeGrid,
     closed_form_spectrum,
     discretized_L_spectrum,
-    eigenfunction_values,
     eigenvalue_partial_sums,
     hs_norm_squared,
     matrix_A,
@@ -23,6 +22,8 @@ from ogawa_lab import (
     trace_class_diagnostic,
 )
 from ogawa_lab.spectral import discretized_operator
+
+from oracles import eigenfunction_values
 
 IDENTITY = LinearField(1, 0, 0, 1)
 
