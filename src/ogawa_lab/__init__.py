@@ -22,7 +22,6 @@ from .bases import (
     regularity_diagnostic,
 )
 from .engine import (
-    Integrand,
     OgawaLedger,
     TruncationStage,
     build_ledger,

@@ -125,10 +125,9 @@ STACK_BLOCK_BYTES = 1 << 22  # target size of one (elements, len(t), d) float64 
 
 def row_blocks(m: int, width: int, budget: int) -> list[tuple[int, int]]:
     """Split m rows of ``width`` float64 values each into near-equal blocks of
-    about ``budget`` bytes.  A block has one row only when m = 1: numpy sends a
-    one-row matrix-vector product down its dot route, which rounds differently."""
-    rows = max(2, budget // (8 * width))
-    count = max(1, min(-(-m // rows), m // 2))
+    about ``budget`` bytes, one row at least."""
+    rows = max(1, budget // (8 * width))
+    count = max(1, -(-m // rows))
     return [(m * b // count, m * (b + 1) // count) for b in range(count)]
 
 
@@ -267,7 +266,7 @@ class BasisFamily:
     ) -> list[tuple[slice, "BasisFamily"]]:
         """The first n elements as consecutive finite families, each with the
         rows it covers: near-equal blocks of about STACK_BLOCK_BYTES per stack
-        at ``width`` times, at least two elements each (when n >= 2)."""
+        at ``width`` times."""
         labels = self.labels(n, order)
         return [
             (slice(a, b), self.enumerating(labels[a:b]))

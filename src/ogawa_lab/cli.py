@@ -19,7 +19,7 @@ import numpy as np
 from . import harness
 from .engine import diagonal_entries
 from .harness import ConfigError, ExperimentConfig
-from .paths import SamplePath, TimeGrid
+from .paths import SamplePath, TimeGrid, write_csv
 from .spectral import discretized_L_spectrum
 
 
@@ -139,6 +139,7 @@ def cmd_order(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg = build_config(args)
+    _check_writable(cfg.out)
     fld = harness.resolve_field(cfg)
     if not hasattr(fld, "matrix"):
         raise ConfigError("spectrum requires a linear field")
@@ -152,6 +153,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_trace(args) -> int:
     cfg = build_config(args)
+    _check_writable(cfg.out)
     fld = harness.resolve_field(cfg)
     if not fld.constant_jacobian:
         raise ConfigError("trace trajectories are defined for constant-Jacobian fields")
@@ -165,24 +167,18 @@ def cmd_trace(args) -> int:
     with np.errstate(all="ignore"):  # non-finite results are refused below
         trajectory = np.cumsum(diagonal_entries(fld, probe, st.family, st.n_elements, st.order))
     _require_finite((f"r ({st.family.name})", i + 1, r) for i, r in enumerate(trajectory))
-
-    def write(file):
-        close = isinstance(file, (str, Path))
-        fh = open(file, "w", newline="") if close else file
-        try:
-            fh.write("basis,order,n,r\n")
-            for i, r in enumerate(trajectory):
-                fh.write(f"{st.family.name},{st.order.spec},{i + 1},{format(r, '.17g')}\n")
-        finally:
-            if close:
-                fh.close()
-
-    _emit(write, cfg.out)
+    rows = [(st.family.name, st.order.spec, i + 1, r) for i, r in enumerate(trajectory)]
+    _emit(lambda f: write_csv(f, ("basis", "order", "n", "r"), rows), cfg.out)
     return 0
 
 
 def cmd_ramer(args) -> int:
+    _check_writable(args.out)
     rows = harness.run_ramer_battery(args.max_dim, args.samples, args.seed or 90210)
+    _require_finite(
+        (f"ramer {r.case}", r.n, r.check.lhs, r.check.lhs_se, r.check.rhs, r.check.rhs_se)
+        for r in rows
+    )
     _emit(lambda f: harness.emit_ramer(rows, f), args.out)
     return 0
 

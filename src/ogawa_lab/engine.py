@@ -1,7 +1,7 @@
 """Basis-indexed stochastic partial sums and their renormalized limits.
 
-For an integrand f along a path omega and an orthonormal family with
-primitives e_i, the truncated series is
+For the integrand f(t, omega) = alpha(omega(t)) of a vector field alpha and
+an orthonormal family with primitives e_i, the truncated series is
 
     g_n = sum_{i<=n} n_{e_i}(omega) * (f, phi_i),
 
@@ -26,48 +26,13 @@ sums, Stratonovich = midpoint rule on the sample grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bases import BasisFamily, EnumerationOrder
-from .fields import VectorField, evaluate_G
-from .paths import SamplePath, approximate_wiener, project_coefficients
-
-
-class Integrand:
-    """A map (t, omega) -> R^d evaluated along whole paths.
-
-    ``fn`` receives the node times (m,) and the path values (m, d) and must
-    return integrand values of shape (m, d).  The canonical instance is
-    f(t, omega) = alpha(omega(t)).
-    """
-
-    def __init__(self, dim: int, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-        self.dim = dim
-        self._fn = fn
-
-    def on_path(self, path: SamplePath) -> np.ndarray:
-        if path.dim != self.dim:
-            raise ValueError(
-                f"dimension mismatch: integrand dim {self.dim}, path dim {path.dim}"
-            )
-        vals = np.asarray(self._fn(path.grid.times, path.values), dtype=float)
-        if vals.shape != path.values.shape:
-            raise ValueError(f"integrand returned shape {vals.shape}")
-        return vals
-
-    @classmethod
-    def from_field(cls, field: VectorField) -> "Integrand":
-        return cls(field.dim, lambda t, values: field.alpha(values))
-
-
-def as_integrand(f: "Integrand | VectorField") -> Integrand:
-    if isinstance(f, Integrand):
-        return f
-    if isinstance(f, VectorField):
-        return Integrand.from_field(f)
-    raise TypeError(f"expected Integrand or VectorField, got {type(f)!r}")
+from .fields import VectorField, _check_field_path, evaluate_G
+from .paths import SamplePath, approximate_wiener, project_coefficients, write_csv
 
 
 def _cell_averages(values: np.ndarray) -> np.ndarray:
@@ -80,23 +45,23 @@ def _cell_averages(values: np.ndarray) -> np.ndarray:
 
 
 def ogawa_partial_sum(
-    f: "Integrand | VectorField",
+    field: VectorField,
     path: SamplePath,
     family: BasisFamily,
     n: int,
     order: EnumerationOrder | str | None = None,
 ) -> float:
     """Truncated series g_n by the coefficient route (the default route)."""
-    integrand = as_integrand(f)
+    _check_field_path(field, path)
     coeffs = project_coefficients(path, family, n, order)
-    favg = _cell_averages(integrand.on_path(path))
+    favg = _cell_averages(field.alpha(path.values))
     de = family.primitive_cell_increments(path.grid, n, order)
     pairings = np.einsum("ikd,kd->i", de, favg)
     return float(coeffs @ pairings)
 
 
 def ogawa_partial_sum_stieltjes(
-    f: "Integrand | VectorField",
+    field: VectorField,
     path: SamplePath,
     family: BasisFamily,
     n: int,
@@ -106,10 +71,11 @@ def ogawa_partial_sum_stieltjes(
 
     Agrees with the coefficient route to roundoff at every finite n.
     """
-    integrand = as_integrand(f)
+    _check_field_path(field, path)
     wn = approximate_wiener(path, family, n, order)
-    favg = _cell_averages(integrand.on_path(path))
+    favg = _cell_averages(field.alpha(path.values))
     return float(np.sum(favg * wn.increments))
+
 
 def cameron_martin_inner(a: SamplePath, b: SamplePath) -> float:
     """Discrete Cameron-Martin inner product sum_k (da_k . db_k) / dt."""
@@ -157,11 +123,11 @@ def diagonal_entries(
 
     Each summand is int_0^1 phi_i(t) . (e_i(t) . grad) alpha(omega(t)) dt by
     cell-midpoint quadrature; the running renormalization term is the
-    cumulative sum of this array.  The elements are taken in blocks of at
-    least two (:meth:`BasisFamily.blocks`): the midpoint phi and primitive
-    stacks and their Jacobian product are held for one block at a time, never
-    for all n, and each block runs the same two einsums, which give every
-    entry the bytes of one einsum pair over all n.
+    cumulative sum of this array.  The elements are taken in blocks
+    (:meth:`BasisFamily.blocks`): the midpoint phi and primitive stacks and
+    their Jacobian product are held for one block at a time, never for all
+    n, and each block runs the same two einsums, which give every entry the
+    bytes of one einsum pair over all n.
     """
     mids = path.grid.midpoints
     jac = _midpoint_jacobians(field, path)  # (N, d, d)
@@ -328,17 +294,9 @@ def build_ledger(
 
 def dump_ledgers_csv(ledgers: Sequence[OgawaLedger], file) -> None:
     """Write ledgers as CSV ``path_index,n,g,r,h,gprime,ito,strat``."""
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "w", newline="")
-        close = True
-    try:
-        file.write("path_index,n,g,r,h,gprime,ito,strat\n")
-        for idx, led in enumerate(ledgers):
-            for s, n in enumerate(led.schedule):
-                row = (led.g[s], led.r[s], led.h[s], led.gprime[s], led.ito, led.strat)
-                vals = ",".join(format(x, ".17g") for x in row)
-                file.write(f"{idx},{n},{vals}\n")
-    finally:
-        if close:
-            file.close()
+    rows = (
+        (idx, n, led.g[s], led.r[s], led.h[s], led.gprime[s], led.ito, led.strat)
+        for idx, led in enumerate(ledgers)
+        for s, n in enumerate(led.schedule)
+    )
+    write_csv(file, ("path_index", "n", "g", "r", "h", "gprime", "ito", "strat"), rows)

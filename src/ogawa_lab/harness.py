@@ -31,7 +31,7 @@ from .bases import EnumerationOrder, family_from_name, piecewise_linear_basis
 from .engine import TruncationStage, diagonal_entries  # noqa: F401
 from .ensemble import EnsembleLedger, build_ensemble_ledgers
 from .fields import RamerCheck, VectorField, field_from_name, gaussian_ramer_check
-from .paths import RngSpec, TimeGrid
+from .paths import RngSpec, TimeGrid, write_csv
 
 
 class ConfigError(Exception):
@@ -317,57 +317,26 @@ def run_order_dependence(cfg: ExperimentConfig) -> OrderDependenceResult:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def emit_report(report: ConvergenceReport, file) -> None:
     """Write ``estimator,n,value,stderr,M`` rows; an empty report is header-only."""
-    close = False
-    if isinstance(file, (str, Path, bytes)):
-        file = open(file, "w", newline="")
-        close = True
-    try:
-        file.write("estimator,n,value,stderr,M\n")
-        for r in report.rows:
-            file.write(f"{r.estimator},{r.n},{_fmt(r.value)},{_fmt(r.stderr)},{r.paths}\n")
-    finally:
-        if close:
-            file.close()
+    rows = ((r.estimator, r.n, r.value, r.stderr, r.paths) for r in report.rows)
+    write_csv(file, ("estimator", "n", "value", "stderr", "M"), rows)
 
 
 def emit_r_table(rows: Sequence[tuple[str, int, float]], file) -> None:
-    close = False
-    if isinstance(file, (str, Path, bytes)):
-        file = open(file, "w", newline="")
-        close = True
-    try:
-        file.write("order,n,r\n")
-        for order_spec, n, r in rows:
-            file.write(f"{order_spec},{n},{_fmt(r)}\n")
-    finally:
-        if close:
-            file.close()
+    """Write ``order,n,r`` rows of the running renormalization term."""
+    write_csv(file, ("order", "n", "r"), rows)
 
 
 def emit_spectrum(report, file) -> None:
     """Write ``n,j,lambda_closed,lambda_numeric,rel_err`` rows for a SpectrumReport."""
-    close = False
-    if isinstance(file, (str, Path, bytes)):
-        file = open(file, "w", newline="")
-        close = True
-    try:
-        file.write("n,j,lambda_closed,lambda_numeric,rel_err\n")
-        rel = report.relative_errors()
-        for n in range(report.count):
-            for j in (0, 1):
-                file.write(
-                    f"{n},{j + 1},{_fmt(report.closed[n, j])},"
-                    f"{_fmt(report.numeric[n, j])},{_fmt(rel[n, j])}\n"
-                )
-    finally:
-        if close:
-            file.close()
+    rel = report.relative_errors()
+    rows = (
+        (n, j + 1, report.closed[n, j], report.numeric[n, j], rel[n, j])
+        for n in range(report.count)
+        for j in (0, 1)
+    )
+    write_csv(file, ("n", "j", "lambda_closed", "lambda_numeric", "rel_err"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +402,10 @@ def run_ramer_battery(
     max_dim: int = 3, samples: int = 10**5, seed: int = 90210
 ) -> list[RamerBatteryRow]:
     """Divergence-inequality battery over the standard test maps, n = 1..max_dim."""
+    if samples < 2:
+        raise ConfigError(f"samples must be >= 2 for a standard error, got {samples}")
+    if max_dim < 1:
+        raise ConfigError(f"max_dim must be >= 1, got {max_dim}")
     rows = []
     rng = RngSpec(seed)
     for n in range(1, max_dim + 1):
@@ -443,21 +416,13 @@ def run_ramer_battery(
 
 
 def emit_ramer(rows: Sequence[RamerBatteryRow], file) -> None:
-    close = False
-    if isinstance(file, (str, Path, bytes)):
-        file = open(file, "w", newline="")
-        close = True
-    try:
-        file.write("case,n,samples,lhs,lhs_se,rhs,rhs_se,holds\n")
-        for row in rows:
-            c = row.check
-            file.write(
-                f"{row.case},{row.n},{c.samples},{_fmt(c.lhs)},{_fmt(c.lhs_se)},"
-                f"{_fmt(c.rhs)},{_fmt(c.rhs_se)},{int(c.holds())}\n"
-            )
-    finally:
-        if close:
-            file.close()
+    """Write ``case,n,samples,lhs,lhs_se,rhs,rhs_se,holds`` rows."""
+    cells = (
+        (row.case, row.n, c.samples, c.lhs, c.lhs_se, c.rhs, c.rhs_se, int(c.holds()))
+        for row in rows
+        for c in (row.check,)
+    )
+    write_csv(file, ("case", "n", "samples", "lhs", "lhs_se", "rhs", "rhs_se", "holds"), cells)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ primitive of phi_i.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -187,19 +188,23 @@ def approximate_wiener(
     return SamplePath(path.grid, values)
 
 
-def dump_path_csv(path: SamplePath, file) -> None:
-    """Write a path as CSV with header ``t,w1[,w2,...]``, 17 significant digits."""
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "w", newline="")
-        close = True
-    try:
-        cols = ",".join(f"w{j + 1}" for j in range(path.dim))
-        file.write(f"t,{cols}\n")
-        for t, row in zip(path.grid.times, path.values):
-            vals = ",".join(format(x, ".17g") for x in row)
-            file.write(f"{format(t, '.17g')},{vals}\n")
-    finally:
-        if close:
-            file.close()
+def write_csv(file, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header line and one line per row, comma-separated, to a path
+    (``str``, ``bytes`` or ``os.PathLike``, opened with ``newline=""``) or to
+    an open text handle.  Float cells, ``np.float64`` included, are written
+    with 17 significant digits, so they read back to the same double; other
+    cells with ``str``."""
+    if isinstance(file, (str, bytes, os.PathLike)):
+        with open(file, "w", newline="") as fh:
+            write_csv(fh, header, rows)
+        return
+    file.write(",".join(header) + "\n")
+    for row in rows:
+        cells = (format(x, ".17g") if isinstance(x, float) else str(x) for x in row)
+        file.write(",".join(cells) + "\n")
 
+
+def dump_path_csv(path: SamplePath, file) -> None:
+    """Write a path as CSV with header ``t,w1[,w2,...]``."""
+    header = ["t"] + [f"w{j + 1}" for j in range(path.dim)]
+    write_csv(file, header, ((t, *row) for t, row in zip(path.grid.times, path.values)))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ogawa_lab import (
-    Integrand,
     LinearField,
     RngSpec,
     SamplePath,
@@ -41,11 +40,19 @@ from oracles import diagonal_entries_one_block, diagonal_entry
 
 class TestPartialSums:
     def test_zero_integrand(self):
-        f = Integrand(1, lambda t, v: np.zeros_like(v))
+        f = constant_field(1, 0.0)
         path = sample_brownian(TimeGrid(128), 1, RngSpec(0), 0)
         fam = haar_basis(1)
         for n in (1, 4, 16):
             assert ogawa_partial_sum(f, path, fam, n) == 0.0
+
+    @pytest.mark.parametrize("route", [ogawa_partial_sum, ogawa_partial_sum_stieltjes])
+    def test_field_path_dimension_mismatch(self, route):
+        # the family matches the path; only the field has the wrong dimension
+        path = sample_brownian(TimeGrid(64), 1, RngSpec(0), 0)
+        fld = field_from_name("linear:1,0,0,1")
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            route(fld, path, haar_basis(1), 4)
 
     def test_drift_path_constant_basis(self):
         # coefficient 1, pairing int_0^1 t dt = 1/2, exactly
@@ -409,16 +416,19 @@ class TestPrefixPlan:
 
 
 class TestBlockedDiagonalEntries:
-    """diagonal_entries takes the elements in blocks of at least two; each
-    entry must keep the bytes of one einsum pair over all n elements."""
+    """diagonal_entries takes the elements in blocks, down to one element
+    each; every entry must keep the bytes of one einsum pair over all n
+    elements."""
 
     GRID = TimeGrid(1024)
 
     @pytest.mark.parametrize("n", [1, 3, 64, 1024])
     @pytest.mark.parametrize(
-        "case", ["xi-balanced", "xi-adversarial:100", "psi-trig", "haar", "skew-xi", "skew-haar"]
+        "case",
+        ["xi-balanced", "xi-adversarial:100", "psi-trig", "haar", "skew-xi", "skew-haar",
+         "sine1d-haar"],
     )
-    @pytest.mark.parametrize("elements_per_block", [2, 5, None])
+    @pytest.mark.parametrize("elements_per_block", [1, 2, 5, None])
     def test_blocks_equal_one_einsum(self, n, case, elements_per_block, monkeypatch):
         from ogawa_lab import bases
 
@@ -430,16 +440,17 @@ class TestBlockedDiagonalEntries:
             "haar": (linear, "haar", "balanced"),
             "skew-xi": (skew_field(), "xi-mixed", "adversarial:4"),
             "skew-haar": (skew_field(), "haar", "balanced"),
+            "sine1d-haar": (sine_field_1d(), "haar", "balanced"),
         }[case]
-        fam = harness.resolve_stages(basis, order, 2, [n], self.GRID.num_steps)[0].family
+        fam = harness.resolve_stages(basis, order, fld.dim, [n], self.GRID.num_steps)[0].family
         if elements_per_block is not None:
             width = len(self.GRID.midpoints) * fam.dim
             monkeypatch.setattr(bases, "STACK_BLOCK_BYTES", elements_per_block * 8 * width)
         # the zero path of the ensemble plan for a constant Jacobian, else a Wiener path
         path = (
-            SamplePath.zero(self.GRID, 2)
+            SamplePath.zero(self.GRID, fld.dim)
             if fld.constant_jacobian
-            else sample_brownian(self.GRID, 2, RngSpec(17), 3)
+            else sample_brownian(self.GRID, fld.dim, RngSpec(17), 3)
         )
         got = diagonal_entries(fld, path, fam, n, order)
         assert np.array_equal(got, diagonal_entries_one_block(fld, path, fam, n, order))
@@ -583,6 +594,7 @@ class TestRowBlocks:
         grid, rng = TimeGrid(self.GRID), RngSpec(31)
         row_bytes = 8 * (self.GRID + 1) * fld.dim
         budgets = {
+            "1 row": row_bytes,
             "2 rows": 2 * row_bytes,
             "3 rows": 3 * row_bytes,
             "default": ens.ROW_BLOCK_BYTES,

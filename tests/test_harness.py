@@ -1,12 +1,31 @@
+import importlib
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ogawa_lab import SamplePath, TimeGrid, diagonal_entries, harness
+import ogawa_lab
+from ogawa_lab import (
+    RngSpec,
+    SamplePath,
+    TimeGrid,
+    TruncationStage,
+    build_ledger,
+    diagonal_entries,
+    discretized_L_spectrum,
+    dump_ledgers_csv,
+    dump_path_csv,
+    field_from_name,
+    haar_basis,
+    harness,
+    sample_brownian,
+)
+from ogawa_lab import cli
 from ogawa_lab.cli import main
+from ogawa_lab.fields import RamerCheck
 from ogawa_lab.harness import (
     ConfigError,
     ExperimentConfig,
@@ -19,6 +38,7 @@ from ogawa_lab.harness import (
     run_ramer_battery,
     store_expectations,
 )
+from ogawa_lab.paths import write_csv
 
 from oracles import parse_report
 
@@ -97,6 +117,22 @@ def test_benchmark_configs_resolve(monkeypatch):
         make(8161)  # raises ConfigError if a stage list no longer resolves
 
 
+def test_benchmark_tracer_finds_every_traced_call(monkeypatch):
+    """perfbench wraps each traced call at every place its callers look it up,
+    by name.  A moved or renamed name fails here, not only in a traced run."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spans = importlib.import_module("spans")
+    originals = [
+        (site, attr, getattr(site, attr))
+        for _, sites, attr, _ in spans.traced_sites(ogawa_lab)
+        for site in sites
+    ]
+    with spans.Tracer().installed(ogawa_lab):
+        assert all(getattr(site, attr) is not fn for site, attr, fn in originals)
+    assert all(getattr(site, attr) is fn for site, attr, fn in originals)
+
+
 class TestRunConvergence:
     def test_zero_field_all_estimators_vanish(self):
         cfg = ExperimentConfig(
@@ -170,6 +206,68 @@ class TestReportCsv:
             emit_report(run_convergence(cfg), buf)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
+
+
+class TestCsvWriters:
+    """Every report and dump is written by paths.write_csv, so a str path, a
+    Path and an open handle receive the same bytes."""
+
+    WRITERS = (
+        "emit_report", "emit_r_table", "emit_spectrum", "emit_ramer",
+        "dump_path_csv", "dump_ledgers_csv", "cmd_trace",
+    )
+
+    @staticmethod
+    def writer(name, monkeypatch):
+        if name in ("emit_report", "emit_r_table"):
+            res = run_order_dependence(ExperimentConfig(
+                field="linear:0,0,1,0", basis_a="xi-mixed", order_b="adversarial:2",
+                grid=64, paths=3, schedule=(2, 4),
+            ))
+            if name == "emit_report":
+                return lambda f: emit_report(res.report, f)
+            return lambda f: harness.emit_r_table(res.r_rows, f)
+        if name == "emit_spectrum":
+            spec = discretized_L_spectrum(field_from_name("linear:1,0,0,1"), TimeGrid(64), 2)
+            return lambda f: harness.emit_spectrum(spec, f)
+        if name == "emit_ramer":
+            rows = run_ramer_battery(max_dim=2, samples=100, seed=5)
+            return lambda f: harness.emit_ramer(rows, f)
+        grid = TimeGrid(16)
+        paths = [sample_brownian(grid, 2, RngSpec(3), i) for i in range(2)]
+        if name == "dump_path_csv":
+            return lambda f: dump_path_csv(paths[0], f)
+        if name == "dump_ledgers_csv":
+            stages = TruncationStage.for_schedule(haar_basis(2), (2, 4))
+            fld = field_from_name("linear:1,0.5,0,1")
+            ledgers = [build_ledger(fld, p, stages) for p in paths]
+            return lambda f: dump_ledgers_csv(ledgers, f)
+        # cmd_trace hands its writer to cli._emit
+        captured = []
+        monkeypatch.setattr(cli, "_emit", lambda write, out: captured.append(write))
+        code = main([
+            "trace", "--field", "linear:2,0,0,4", "--basis-a", "psi-trig",
+            "--grid", "64", "--n-max", "4",
+        ])
+        assert code == 0
+        return captured[0]
+
+    @pytest.mark.parametrize("name", WRITERS)
+    def test_str_path_and_handle_get_the_same_bytes(self, name, tmp_path, monkeypatch):
+        write = self.writer(name, monkeypatch)
+        write(str(tmp_path / "str.csv"))
+        write(tmp_path / "path.csv")
+        buf = io.StringIO()
+        write(buf)
+        expected = buf.getvalue().encode()
+        assert expected.count(b"\n") >= 4
+        assert (tmp_path / "str.csv").read_bytes() == expected
+        assert (tmp_path / "path.csv").read_bytes() == expected
+
+    def test_cells(self):
+        buf = io.StringIO()
+        write_csv(buf, ("a", "b", "c", "d", "e"), [(0.1, np.float64(1 / 3), 7, "x", math.nan)])
+        assert buf.getvalue() == "a,b,c,d,e\n0.10000000000000001,0.33333333333333331,7,x,nan\n"
 
 
 class TestOrderDependence:
@@ -371,6 +469,46 @@ class TestCli:
             assert self.run_cli(*args, "--out", str(tmp_path / "rep.csv")) == 2
             assert "rep_rtrajectory.csv" in self.config_error_line(capsys)
             assert not (tmp_path / "rep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "trace", "ramer"])
+    def test_unwritable_out_fails_before_the_work(self, tmp_path, capsys, monkeypatch, command):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the work started before --out was checked")
+
+        monkeypatch.setattr(cli, "discretized_L_spectrum", must_not_run)
+        monkeypatch.setattr(cli, "diagonal_entries", must_not_run)
+        monkeypatch.setattr(harness, "run_ramer_battery", must_not_run)
+        args = {
+            "spectrum": ["--field", "linear:1,0,0,1", "--grid", "64"],
+            "trace": ["--field", "linear:2,0,0,4", "--grid", "64"],
+            "ramer": ["--samples", "100"],
+        }[command]
+        out = tmp_path / "missing" / "out.csv"
+        assert self.run_cli(command, *args, "--out", str(out)) == 2
+        assert "No such file or directory" in self.config_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--samples", "1"], "samples must be >= 2"),
+            (["--samples", "0"], "samples must be >= 2"),
+            (["--samples", "-5"], "samples must be >= 2"),
+            (["--max-dim", "0"], "max_dim must be >= 1"),
+        ],
+    )
+    def test_ramer_bad_sizes_exit_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "ram.csv"
+        assert self.run_cli("ramer", *flags, "--out", str(out)) == 2
+        assert message in self.config_error_line(capsys)
+        assert not out.exists()
+
+    def test_ramer_non_finite_rows_exit_2(self, tmp_path, capsys, monkeypatch):
+        nan_row = harness.RamerBatteryRow("zero", 1, RamerCheck(0.0, 0.0, math.nan, 0.0, 100))
+        monkeypatch.setattr(harness, "run_ramer_battery", lambda *args: [nan_row])
+        out = tmp_path / "ram.csv"
+        assert self.run_cli("ramer", "--out", str(out)) == 2
+        assert "is not finite" in self.config_error_line(capsys)
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["converge", "order"])
     def test_non_finite_rows_exit_2(self, tmp_path, capsys, command):
