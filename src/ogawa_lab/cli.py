@@ -174,7 +174,7 @@ def cmd_trace(args) -> int:
 
 def cmd_ramer(args) -> int:
     _check_writable(args.out)
-    rows = harness.run_ramer_battery(args.max_dim, args.samples, args.seed or 90210)
+    rows = harness.run_ramer_battery(args.max_dim, args.samples, args.seed)
     _require_finite(
         (f"ramer {r.case}", r.n, r.check.lhs, r.check.lhs_se, r.check.rhs, r.check.rhs_se)
         for r in rows
@@ -213,7 +213,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("ramer", help="Gaussian divergence-inequality battery")
     p.add_argument("--samples", type=int, default=10**5)
     p.add_argument("--max-dim", dest="max_dim", type=int, default=3)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=90210)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_ramer)
 

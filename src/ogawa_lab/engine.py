@@ -31,8 +31,10 @@ from typing import Sequence
 import numpy as np
 
 from .bases import BasisFamily, EnumerationOrder
-from .fields import VectorField, _check_field_path, evaluate_G
-from .paths import SamplePath, approximate_wiener, project_coefficients, write_csv
+from .fields import VectorField, evaluate_G
+from .paths import (
+    SamplePath, TimeGrid, approximate_wiener, check_dims, project_coefficients, write_csv
+)
 
 
 def _cell_averages(values: np.ndarray) -> np.ndarray:
@@ -52,7 +54,7 @@ def ogawa_partial_sum(
     order: EnumerationOrder | str | None = None,
 ) -> float:
     """Truncated series g_n by the coefficient route (the default route)."""
-    _check_field_path(field, path)
+    check_dims(path, field, family)
     coeffs = project_coefficients(path, family, n, order)
     favg = _cell_averages(field.alpha(path.values))
     de = family.primitive_cell_increments(path.grid, n, order)
@@ -71,7 +73,7 @@ def ogawa_partial_sum_stieltjes(
 
     Agrees with the coefficient route to roundoff at every finite n.
     """
-    _check_field_path(field, path)
+    check_dims(path, field)
     wn = approximate_wiener(path, family, n, order)
     favg = _cell_averages(field.alpha(path.values))
     return float(np.sum(favg * wn.increments))
@@ -81,6 +83,7 @@ def cameron_martin_inner(a: SamplePath, b: SamplePath) -> float:
     """Discrete Cameron-Martin inner product sum_k (da_k . db_k) / dt."""
     if a.grid != b.grid:
         raise ValueError("paths live on different grids")
+    check_dims(a, b)
     return float(np.sum(a.increments * b.increments) / a.grid.dt)
 
 
@@ -106,10 +109,11 @@ def ogawa_partial_sum_inner(
 # ---------------------------------------------------------------------------
 
 
-def _midpoint_jacobians(field: VectorField, path: SamplePath) -> np.ndarray:
-    """Jacobian of alpha at linearly interpolated cell-midpoint path values."""
-    mids = _cell_averages(path.values)
-    return field.jacobian(mids)
+def _midpoint_stacks(family: BasisFamily, n: int, order, grid: TimeGrid):
+    """Rows, midpoint phi and primitive stacks of each block of the first n elements."""
+    mids = grid.midpoints
+    for rows, block in family.blocks(n, order, len(mids)):
+        yield rows, block.phi_stack(mids, block.size), block.primitive_stack(mids, block.size)
 
 
 def diagonal_entries(
@@ -123,20 +127,42 @@ def diagonal_entries(
 
     Each summand is int_0^1 phi_i(t) . (e_i(t) . grad) alpha(omega(t)) dt by
     cell-midpoint quadrature; the running renormalization term is the
-    cumulative sum of this array.  The elements are taken in blocks
-    (:meth:`BasisFamily.blocks`): the midpoint phi and primitive stacks and
-    their Jacobian product are held for one block at a time, never for all
-    n, and each block runs the same two einsums, which give every entry the
-    bytes of one einsum pair over all n.
+    cumulative sum of this array.  The midpoint stacks are held for one
+    block (:meth:`BasisFamily.blocks`) at a time, and each block runs the
+    same two einsums, which give every entry the bytes of one einsum pair
+    over all n.
     """
-    mids = path.grid.midpoints
-    jac = _midpoint_jacobians(field, path)  # (N, d, d)
+    check_dims(path, field, family)
+    jac = field.jacobian(_cell_averages(path.values))  # (N, d, d)
     entries = np.empty(n)
-    for rows, block in family.blocks(n, order, len(mids)):
-        phi = block.phi_stack(mids, block.size)
-        je = np.einsum("kjl,ikl->ikj", jac, block.primitive_stack(mids, block.size))
+    for rows, phi, prim in _midpoint_stacks(family, n, order, path.grid):
+        je = np.einsum("kjl,ikl->ikj", jac, prim)
         entries[rows] = np.einsum("ikj,ikj->i", phi, je)
     return entries * path.grid.dt
+
+
+def trace_vectors(
+    family: BasisFamily,
+    prefixes: Sequence[int],
+    order: EnumerationOrder | str | None,
+    grid: TimeGrid,
+) -> list[np.ndarray]:
+    """Path-free trace factors t_jl(k) = sum_{i<=n} phi_i,j(m_k) * e_i,l(m_k)
+    at the cell midpoints m_k, shape (d, d, N), for each increasing prefix n.
+
+    For any path r_n = dt * sum_{j,l,k} J_jl(m_k) t_jl(k), with the Jacobian
+    that :func:`diagonal_entries` reads.  One running sum over its midpoint
+    blocks, element by element in enumeration order, so every prefix has the
+    bytes of the axis-0 sum of its whole (n, N) product stack.
+    """
+    acc = np.zeros((family.dim, family.dim, grid.num_steps))
+    term, out = np.empty_like(acc), []
+    for rows, phi, prim in _midpoint_stacks(family, max(prefixes), order, grid):
+        for count, phi_i, prim_i in zip(range(rows.start + 1, rows.stop + 1), phi, prim):
+            acc += np.einsum("kj,kl->jlk", phi_i, prim_i, out=term)
+            if count in prefixes:
+                out.append(acc.copy())
+    return out
 
 
 def renormalization_term(
@@ -185,6 +211,7 @@ def wong_zakai_sum(
     Trapezoid-in-alpha against the increments of omega_n, so for alpha(x)=x
     the sum telescopes to omega_n(1)^2 / 2 exactly.
     """
+    check_dims(path, field)
     wn = approximate_wiener(path, family, n, order)
     aavg = _cell_averages(field.alpha(wn.values))
     return float(np.sum(aavg * wn.increments))
@@ -192,18 +219,21 @@ def wong_zakai_sum(
 
 def ito_integral(field: VectorField, path: SamplePath) -> float:
     """Left-point Riemann sum sum_k alpha(omega(t_k)) . (omega(t_{k+1}) - omega(t_k))."""
+    check_dims(path, field)
     a_left = field.alpha(path.values[:-1])
     return float(np.sum(a_left * path.increments))
 
 
 def stratonovich_integral(field: VectorField, path: SamplePath) -> float:
     """Midpoint rule sum_k alpha((omega(t_k) + omega(t_{k+1})) / 2) . d(omega)_k."""
+    check_dims(path, field)
     a_mid = field.alpha(_cell_averages(path.values))
     return float(np.sum(a_mid * path.increments))
 
 
 def divergence_quadrature(field: VectorField, path: SamplePath) -> float:
     """Trapezoid quadrature of int_0^1 div(alpha)(omega(t)) dt."""
+    check_dims(path, field)
     div = field.divergence(path.values)
     return float(np.trapezoid(div, dx=path.grid.dt))
 

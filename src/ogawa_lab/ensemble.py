@@ -9,10 +9,11 @@ chunks; the blocks split a chunk near-equally and move no byte against
 whole-chunk evaluation.  All requested basis/order combinations share one
 ensemble (common random numbers), and every reduction runs in fixed path
 order.  Each basis family gets one plan across all stage lists: basis stacks
-and trace entries are evaluated once over the union of the labels its orders
-need, each order's stacks are leading rows of that union or one gathered
-copy of its rows, and every stage reads leading-row views of its order's
-stacks.
+and zero-path trace entries are evaluated once over the union of the labels
+its orders need, each order's stacks are leading rows of that union or one
+gathered copy of its rows, and every stage reads leading-row views of its
+order's stacks.  Path-dependent trace vectors are per order, not per union:
+one :func:`engine.trace_vectors` call gives every stage size of an order.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bases import BasisFamily, row_blocks
-from .engine import OgawaLedger, TruncationStage, diagonal_entries
+from .bases import row_blocks
+from .engine import OgawaLedger, TruncationStage, diagonal_entries, trace_vectors
 from .fields import VectorField
 from .paths import RngSpec, SamplePath, TimeGrid, brownian_increments
 
@@ -70,19 +71,6 @@ class _StagePlan:
     r_value: float | None  # sum of the first n shared trace entries (constant Jacobians)
 
 
-def _evaluate(field: VectorField, grid: TimeGrid, family: BasisFamily, n: int) -> tuple:
-    """Phi, E and trace data of the first n elements of ``family``: the
-    zero-path trace entries for a constant Jacobian, otherwise the midpoint
-    phi and primitive stacks.  Absent entries are None."""
-    phi_left = family.phi_stack(grid.times[:-1], n)
-    de = family.primitive_cell_increments(grid, n)
-    if field.constant_jacobian:
-        probe = SamplePath.zero(grid, field.dim)
-        return phi_left, de, diagonal_entries(field, probe, family, n), None, None
-    mids = grid.midpoints
-    return phi_left, de, None, family.phi_stack(mids, n), family.primitive_stack(mids, n)
-
-
 def _order_key(st: TruncationStage) -> tuple:
     return st.family.name, st.family.dim, st.order
 
@@ -99,47 +87,49 @@ def _plan_stages(
     order's largest prefix, then the labels later orders add, in first-seen
     order.  An order whose labels lead the union reads leading rows of the
     union's stacks; any other gets one gathered copy of its rows.  Every
-    stage then reads leading rows of its order's stacks.
+    stage then reads leading rows of its order's stacks.  For a constant
+    Jacobian the union's zero-path trace entries are stacked the same way.
 
-    For a path-dependent Jacobian J, r_n = dt * sum_{j,l} J_jl(mid) . t_jl
-    with the trace vectors t_jl = sum_{i<=n} phi_i,j(mid) * Phi_i,l(mid) over
-    the cell midpoints; they depend on the stage only, so each stage stores
-    its own and the midpoint stacks are dropped."""
-    largest: dict = {}  # (name, dim, order) -> that order's largest stage
+    For a path-dependent Jacobian each order instead gets the trace vectors
+    of all its stage sizes from one :func:`trace_vectors` call, and each
+    stage stores its own (d, d, N) array."""
+    sizes: dict = {}  # (name, dim, order) -> (a family of that order, its stage sizes)
     for st in (st for stages in stage_lists for st in stages):
-        key = _order_key(st)
-        if key not in largest or st.n_elements > largest[key].n_elements:
-            largest[key] = st
+        sizes.setdefault(_order_key(st), (st.family, set()))[1].add(st.n_elements)
     families: dict = {}  # (name, dim) -> [(key, labels)], orders in first-seen order
-    for key, st in largest.items():
-        families.setdefault(key[:2], []).append((key, st.family.labels(st.n_elements, st.order)))
+    for key, (family, ns) in sizes.items():
+        families.setdefault(key[:2], []).append((key, family.labels(max(ns), key[2])))
 
-    stacks: dict = {}  # (name, dim, order) -> stacks of its largest stage
+    stacks: dict = {}  # (name, dim, order) -> phi, E and trace entries of its largest stage
     for members in families.values():
         union = list(dict.fromkeys(lab for _, labels in members for lab in labels))
-        family = largest[members[0][0]].family.enumerating(union)
-        arrays = _evaluate(field, grid, family, len(union))
+        family = sizes[members[0][0]][0].enumerating(union)
+        phi_left = family.phi_stack(grid.times[:-1], len(union))
+        de = family.primitive_cell_increments(grid, len(union))
+        entries = None
+        if field.constant_jacobian:
+            probe = SamplePath.zero(grid, field.dim)
+            entries = diagonal_entries(field, probe, family, len(union))
         index = {lab: i for i, lab in enumerate(union)}
         for key, labels in members:
             rows = [index[lab] for lab in labels]
             take = slice(len(rows)) if rows == list(range(len(rows))) else np.array(rows)
-            stacks[key] = tuple(None if a is None else a[take] for a in arrays)
+            stacks[key] = (phi_left[take], de[take], None if entries is None else entries[take])
+
+    vectors: dict = {}  # (name, dim, order, n) -> trace vectors of that stage
+    if not field.constant_jacobian:
+        for key, (family, ns) in sizes.items():
+            ns = sorted(ns)
+            vectors.update(zip((key + (n,) for n in ns), trace_vectors(family, ns, key[2], grid)))
 
     plan_lists, top_entries = [], []
-    dims = range(field.dim)
     for stages in stage_lists:
         plans = []
         for st in stages:
-            phi_left, de, entries, phi_mid, prim_mid = (
-                None if a is None else a[: st.n_elements] for a in stacks[_order_key(st)]
-            )
-            r_value = None if entries is None else float(np.sum(entries))
-            vectors = None
-            if phi_mid is not None:
-                vectors = np.array(
-                    [[(phi_mid[:, :, j] * prim_mid[:, :, l]).sum(axis=0) for l in dims] for j in dims]
-                )
-            plans.append(_StagePlan(st, phi_left, de, vectors, r_value))
+            key, n = _order_key(st), st.n_elements
+            phi_left, de, entries = stacks[key]
+            r_value = None if entries is None else float(np.sum(entries[:n]))
+            plans.append(_StagePlan(st, phi_left[:n], de[:n], vectors.get(key + (n,)), r_value))
         top = max(stages, key=lambda st: st.n_elements)
         entries = stacks[_order_key(top)][2]
         plan_lists.append(plans)

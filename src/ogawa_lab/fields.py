@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .paths import RngSpec, SamplePath, TimeGrid
+from .paths import RngSpec, SamplePath, TimeGrid, check_dims
 
 
 class VectorField:
@@ -56,23 +56,6 @@ class VectorField:
             raise ValueError("scalar curl is defined for d = 2 only")
         jac = self.jacobian(x)
         return jac[..., 1, 0] - jac[..., 0, 1]
-
-    @classmethod
-    def with_fd_jacobian(
-        cls, dim: int, alpha: Callable[[np.ndarray], np.ndarray], step: float = 1e-6
-    ) -> "VectorField":
-        """Build a field whose Jacobian is a centered difference of alpha."""
-
-        def jac(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            out = np.empty(x.shape[:-1] + (dim, dim))
-            for i in range(dim):
-                dx = np.zeros(dim)
-                dx[i] = step
-                out[..., :, i] = (alpha(x + dx) - alpha(x - dx)) / (2 * step)
-            return out
-
-        return cls(dim, alpha, jac)
 
 
 class LinearField(VectorField):
@@ -136,13 +119,6 @@ def field_from_name(name: str) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-def _check_field_path(field: VectorField, path: SamplePath) -> None:
-    if field.dim != path.dim:
-        raise ValueError(
-            f"dimension mismatch: field has dim {field.dim}, path has dim {path.dim}"
-        )
-
-
 def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
     """Cumulative trapezoid along axis 0, starting at 0."""
     avg = 0.5 * (values[:-1] + values[1:]) * dt
@@ -162,7 +138,7 @@ def _trapezoid_weights(grid: TimeGrid) -> np.ndarray:
 
 def evaluate_G(field: VectorField, path: SamplePath) -> SamplePath:
     """Cameron-Martin representative G(omega)(t) = int_0^t alpha(omega(s)) ds."""
-    _check_field_path(field, path)
+    check_dims(path, field)
     a = field.alpha(path.values)
     return SamplePath(path.grid, _cumtrapz(a, path.grid.dt))
 
@@ -172,8 +148,7 @@ def apply_DG(field: VectorField, path: SamplePath, gamma: SamplePath) -> SampleP
 
     Linear in gamma; gamma must start at the origin like every SamplePath.
     """
-    _check_field_path(field, path)
-    _check_field_path(field, gamma)
+    check_dims(path, field, gamma)
     jac = field.jacobian(path.values)  # (N+1, d, d)
     integrand = np.einsum("kji,ki->kj", jac, gamma.values)
     return SamplePath(path.grid, _cumtrapz(integrand, path.grid.dt))
@@ -225,13 +200,13 @@ class DiscreteKernel:
 
 def kernel_T(field: VectorField, path: SamplePath) -> DiscreteKernel:
     """Discretize the conjugated operator U^{-1} DG(omega) U along a path."""
-    _check_field_path(field, path)
+    check_dims(path, field)
     return DiscreteKernel(path.grid, field.jacobian(path.values))
 
 
 def hs_norm_squared(field: VectorField, path: SamplePath) -> float:
     """Squared Hilbert-Schmidt norm sum_j int_0^1 t |grad(alpha_j)(omega(t))|^2 dt."""
-    _check_field_path(field, path)
+    check_dims(path, field)
     jac = field.jacobian(path.values)
     frob = np.einsum("kji,kji->k", jac, jac)
     return float(np.trapezoid(path.grid.times * frob, dx=path.grid.dt))

@@ -210,12 +210,6 @@ class ConvergenceReport:
     def by_estimator(self, name: str) -> list[EstimatorRow]:
         return [r for r in self.rows if r.estimator == name]
 
-    def value(self, name: str, n: int) -> EstimatorRow:
-        for r in self.rows:
-            if r.estimator == name and r.n == n:
-                return r
-        raise KeyError(f"no row for estimator {name!r} at n = {n}")
-
 
 def _mse_row(name: str, n: int, samples: np.ndarray) -> EstimatorRow:
     m = samples.shape[0]

@@ -144,11 +144,15 @@ def sample_brownian(
     return SamplePath(grid, values)
 
 
-def _check_dims(path: SamplePath, elem_dim: int) -> None:
-    if path.dim != elem_dim:
-        raise ValueError(
-            f"dimension mismatch: path has dim {path.dim}, element has dim {elem_dim}"
-        )
+def check_dims(path: SamplePath, *others) -> None:
+    """Raise ValueError unless each field, basis element, family or path in
+    ``others`` has the dimension of ``path``."""
+    for other in others:
+        if other.dim != path.dim:
+            raise ValueError(
+                f"dimension mismatch: path has dim {path.dim}, "
+                f"{type(other).__name__} has dim {other.dim}"
+            )
 
 
 def paley_wiener(path: SamplePath, elem: "BasisElement") -> float:
@@ -157,7 +161,7 @@ def paley_wiener(path: SamplePath, elem: "BasisElement") -> float:
     Left-point Riemann-Stieltjes sum of the (deterministic) element against
     the path increments; a deterministic function of its inputs.
     """
-    _check_dims(path, elem.dim)
+    check_dims(path, elem)
     phi_left = elem.phi(path.grid.times[:-1])
     return float(np.sum(phi_left * path.increments))
 
@@ -180,7 +184,7 @@ def approximate_wiener(
     order: "EnumerationOrder | str | None" = None,
 ) -> SamplePath:
     """Ito-Nisio partial sum W_n(t) = sum_{i<=n} e_i(t) n_{e_i}(omega)."""
-    _check_dims(path, family.dim)
+    check_dims(path, family)
     coeffs = project_coefficients(path, family, n, order)
     prim = family.primitive_stack(path.grid.times, n, order)  # (n, N+1, d)
     values = np.tensordot(coeffs, prim, axes=(0, 0))

@@ -74,16 +74,13 @@ class SpectrumReport:
     j; ``numeric`` carries the matching discretized eigenvalues when the
     numeric route has run, together with the matrix trace of the
     discretization and the top scalar eigenvectors on the grid nodes.
-    ``singular_partial_sums[m]`` is sum_{n<=m} sum_j sqrt(closed[n, j]).
     """
 
     form: QuadraticFormMatrix
     closed: np.ndarray                    # (count, 2)
-    singular_partial_sums: np.ndarray     # (count,)
     numeric: np.ndarray | None = None     # (count, 2)
     numeric_trace: float | None = None
     scalar_eigenvectors: np.ndarray | None = None  # (N+1, count)
-    grid: TimeGrid | None = None
 
     @property
     def count(self) -> int:
@@ -107,9 +104,7 @@ def closed_form_spectrum(form: QuadraticFormMatrix, count: int) -> SpectrumRepor
         raise ValueError(f"count must be >= 1, got {count}")
     modes = np.arange(count)
     denom = math.pi**2 * (1 + 2 * modes) ** 2
-    closed = 4.0 * form.eigenvalues[None, :] / denom[:, None]
-    singular = np.cumsum(np.sqrt(closed).sum(axis=1))
-    return SpectrumReport(form=form, closed=closed, singular_partial_sums=singular)
+    return SpectrumReport(form=form, closed=4.0 * form.eigenvalues[None, :] / denom[:, None])
 
 
 def _cumtrapz_adjoint(values: np.ndarray, dt: float) -> np.ndarray:
@@ -195,11 +190,9 @@ def discretized_L_spectrum(
     return SpectrumReport(
         form=form,
         closed=report.closed,
-        singular_partial_sums=report.singular_partial_sums,
         numeric=numeric,
         numeric_trace=float(form.eigenvalues.sum() * _operator_trace(grid)),
         scalar_eigenvectors=vecs,
-        grid=grid,
     )
 
 

@@ -49,6 +49,20 @@ def skew_field():
     return VectorField(2, alpha, jac)
 
 
+def fd_jacobian_field(dim, alpha, step=1e-6):
+    # a field whose Jacobian is a centered difference of alpha
+    def jac(x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape[:-1] + (dim, dim))
+        for i in range(dim):
+            dx = np.zeros(dim)
+            dx[i] = step
+            out[..., :, i] = (alpha(x + dx) - alpha(x - dx)) / (2 * step)
+        return out
+
+    return VectorField(dim, alpha, jac)
+
+
 def sine_field_1d():
     # alpha(x) = sin x: a one-dimensional field with a path-dependent trace
     return VectorField(1, np.sin, lambda x: np.cos(x)[..., None])

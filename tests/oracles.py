@@ -86,6 +86,19 @@ def diagonal_entries_one_block(field, path: SamplePath, family, n: int, order=No
     return np.einsum("ikj,ikj->i", phi, je) * path.grid.dt
 
 
+def trace_vectors_whole_stack(family, prefixes, order, grid: TimeGrid) -> list[np.ndarray]:
+    """Trace vectors t_jl = sum_{i<=n} phi_i,j * e_i,l at the cell midpoints,
+    each prefix from the axis-0 sum of its whole (n, N) product stack."""
+    mids = grid.midpoints
+    n = max(prefixes)
+    phi, prim = family.phi_stack(mids, n, order), family.primitive_stack(mids, n, order)
+    dims = range(family.dim)
+    return [
+        np.array([[(phi[:m, :, j] * prim[:m, :, l]).sum(axis=0) for l in dims] for j in dims])
+        for m in prefixes
+    ]
+
+
 def diagonal_entry(field, path: SamplePath, elem) -> float:
     """Single trace summand <phi, T phi> for one basis element."""
     mids = path.grid.midpoints

@@ -16,6 +16,7 @@ from ogawa_lab import (
     component_trig_basis,
     conversion_gap,
     diagonal_entries,
+    divergence_quadrature,
     dump_ledgers_csv,
     field_from_name,
     haar_basis,
@@ -33,9 +34,10 @@ from ogawa_lab import (
     stratonovich_integral,
     wong_zakai_sum,
 )
+from ogawa_lab.engine import cameron_martin_inner, trace_vectors
 
 from field_helpers import constant_field, sine_field_1d, skew_field, swirl_field
-from oracles import diagonal_entries_one_block, diagonal_entry
+from oracles import diagonal_entries_one_block, diagonal_entry, trace_vectors_whole_stack
 
 
 class TestPartialSums:
@@ -46,13 +48,38 @@ class TestPartialSums:
         for n in (1, 4, 16):
             assert ogawa_partial_sum(f, path, fam, n) == 0.0
 
-    @pytest.mark.parametrize("route", [ogawa_partial_sum, ogawa_partial_sum_stieltjes])
+    @pytest.mark.parametrize(
+        "route",
+        [
+            ogawa_partial_sum, ogawa_partial_sum_stieltjes, ogawa_partial_sum_inner,
+            diagonal_entries, renormalization_term, renormalized_sum, wong_zakai_sum,
+            pytest.param(lambda fld, path, fam, n: ito_integral(fld, path), id="ito"),
+            pytest.param(lambda fld, path, fam, n: stratonovich_integral(fld, path), id="strat"),
+            pytest.param(lambda fld, path, fam, n: conversion_gap(fld, path), id="gap"),
+            pytest.param(
+                lambda fld, path, fam, n: divergence_quadrature(fld, path), id="divergence"
+            ),
+            pytest.param(
+                lambda fld, path, fam, n: cameron_martin_inner(
+                    SamplePath.zero(path.grid, fld.dim), path
+                ),
+                id="cameron_martin",
+            ),
+            pytest.param(
+                lambda fld, path, fam, n: build_ledger(
+                    fld, path, TruncationStage.for_schedule(fam, [n])
+                ),
+                id="ledger",
+            ),
+        ],
+    )
     def test_field_path_dimension_mismatch(self, route):
-        # the family matches the path; only the field has the wrong dimension
-        path = sample_brownian(TimeGrid(64), 1, RngSpec(0), 0)
-        fld = field_from_name("linear:1,0,0,1")
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            route(fld, path, haar_basis(1), 4)
+        # the family matches the path; only the field has the wrong dimension.
+        # alpha(x) = x on a planar path would broadcast silently.
+        for fld, dim in ((field_from_name("linear:1,0,0,1"), 1), (identity_field_1d(), 2)):
+            path = sample_brownian(TimeGrid(64), dim, RngSpec(0), 0)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                route(fld, path, haar_basis(dim), 4)
 
     def test_drift_path_constant_basis(self):
         # coefficient 1, pairing int_0^1 t dt = 1/2, exactly
@@ -454,6 +481,65 @@ class TestBlockedDiagonalEntries:
         )
         got = diagonal_entries(fld, path, fam, n, order)
         assert np.array_equal(got, diagonal_entries_one_block(fld, path, fam, n, order))
+
+
+class TestTraceVectors:
+    """trace_vectors is one running sum over midpoint blocks; every prefix
+    must keep the bytes of the whole-stack sum, and the ensemble must never
+    stack more than one block of midpoint elements."""
+
+    GRID = TimeGrid(1024)
+
+    @pytest.mark.parametrize(
+        "case", ["haar-1", "haar-2", "psi-trig", "xi-balanced", "xi-adversarial:4", "plin:8"]
+    )
+    @pytest.mark.parametrize("elements_per_block", [1, 2, 3, None])
+    def test_prefixes_equal_whole_stack(self, case, elements_per_block, monkeypatch):
+        from ogawa_lab import bases
+
+        prefixes = (1, 2, 5, 16) if case == "plin:8" else (1, 2, 5, 16, 64, 200)
+        fam, order = {
+            "haar-1": (haar_basis(1), "balanced"),
+            "haar-2": (haar_basis(2), "balanced"),
+            "psi-trig": (component_trig_basis(2), "balanced"),
+            "xi-balanced": (mixed_trig_basis(), "balanced"),
+            "xi-adversarial:4": (mixed_trig_basis(), "adversarial:4"),
+            "plin:8": (piecewise_linear_basis(8, 2), "balanced"),  # 16 elements
+        }[case]
+        if elements_per_block is not None:
+            width = self.GRID.num_steps * fam.dim
+            monkeypatch.setattr(bases, "STACK_BLOCK_BYTES", elements_per_block * 8 * width)
+        got = trace_vectors(fam, prefixes, order, self.GRID)
+        want = trace_vectors_whole_stack(fam, prefixes, order, self.GRID)
+        assert len(got) == len(prefixes)
+        for n, a, b in zip(prefixes, got, want):
+            assert a.shape == (fam.dim, fam.dim, self.GRID.num_steps)
+            assert np.array_equal(a, b), (case, n)
+
+    def test_ensemble_stacks_one_block_of_midpoints(self, monkeypatch):
+        from ogawa_lab import bases
+        from ogawa_lab.bases import BasisFamily
+
+        grid, per_block = TimeGrid(256), 10
+        monkeypatch.setattr(bases, "STACK_BLOCK_BYTES", per_block * 8 * grid.num_steps * 2)
+        sizes = []
+        for name in ("phi_stack", "primitive_stack"):
+            original = getattr(BasisFamily, name)
+
+            def counted(self, t, n, order=None, _original=original):
+                if len(t) == grid.num_steps and t[0] == 0.5 * grid.dt:
+                    sizes.append(n)
+                return _original(self, t, n, order)
+
+            monkeypatch.setattr(BasisFamily, name, counted)
+        lists = [
+            harness.resolve_stages("xi-mixed", order, 2, (4, 16, 64), grid.num_steps)
+            for order in ("balanced", "adversarial:4")
+        ]
+        build_ensemble_ledgers(skew_field(), lists, grid, 3, RngSpec(5), chunk_size=2)
+        # each order's 64 elements, phi and primitive stacks, in blocks
+        assert max(sizes) <= per_block
+        assert sum(sizes) == 2 * 2 * 64
 
 
 class TestUnionPlan:

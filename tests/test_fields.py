@@ -6,7 +6,6 @@ from ogawa_lab import (
     RngSpec,
     SamplePath,
     TimeGrid,
-    VectorField,
     apply_DG,
     component_trig_basis,
     evaluate_G,
@@ -18,7 +17,7 @@ from ogawa_lab import (
     sample_brownian,
 )
 
-from field_helpers import constant_field, swirl_field
+from field_helpers import constant_field, fd_jacobian_field, swirl_field
 from oracles import dense_hs_norm_squared, dense_kernel
 
 
@@ -269,7 +268,7 @@ class TestFieldSpecs:
 
     def test_fd_jacobian_matches_analytic(self):
         fld = swirl_field()
-        fd = VectorField.with_fd_jacobian(2, fld.alpha)
+        fd = fd_jacobian_field(2, fld.alpha)
         x = np.array([[0.3, -1.2], [2.0, 0.1]])
         assert np.abs(fd.jacobian(x) - fld.jacobian(x)).max() <= 1e-8
 

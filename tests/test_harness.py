@@ -510,6 +510,15 @@ class TestCli:
         assert "is not finite" in self.config_error_line(capsys)
         assert not out.exists()
 
+    def test_ramer_seed_zero_is_its_own_seed(self, tmp_path):
+        outs = {}
+        for seed in ("0", "90210", None):
+            outs[seed] = tmp_path / f"ram_{seed}.csv"
+            flags = ["--samples", "200", "--max-dim", "1", "--out", str(outs[seed])]
+            assert self.run_cli("ramer", *flags, *(["--seed", seed] if seed else [])) == 0
+        assert outs["0"].read_bytes() != outs["90210"].read_bytes()
+        assert outs[None].read_bytes() == outs["90210"].read_bytes()
+
     @pytest.mark.parametrize("command", ["converge", "order"])
     def test_non_finite_rows_exit_2(self, tmp_path, capsys, command):
         # finite coefficients whose squares overflow

@@ -214,10 +214,3 @@ class TestTraceClassDiagnostic:
         assert abs(sums[-1] - target) <= 1e-3
         fld_hs = (0.3**2 + 1.1**2 + 0.7**2 + 0.5**2) / 2
         assert target == pytest.approx(fld_hs, abs=1e-12)
-
-    def test_report_partial_sums_consistent(self):
-        form = matrix_A(LinearField(1, 2, 3, 4))
-        rep = closed_form_spectrum(form, 50)
-        assert np.allclose(
-            rep.singular_partial_sums, trace_class_diagnostic(form, 50), atol=1e-12
-        )
