@@ -10,25 +10,21 @@ two scalar problems whose closed-form eigenvalues are
 with eigenfunctions sin((pi/2 + n pi) t) u_j.  The numeric route discretizes
 the double-integral action gamma -> a int_0^t int_s^1 gamma(r) dr ds by
 composite trapezoidal sums, symmetrizes, and finds the top eigenvalues
-with a matrix-free Lanczos solve (SciPy is imported on the first solve,
-not with the package); the square roots of the eigenvalues are
-summable-squared but not summable, which is the trace-class failure the
-diagnostics expose.
+with a matrix-free numpy Lanczos solve with full reorthogonalization;
+the square roots of the eigenvalues are summable-squared but not
+summable, which is the trace-class failure the diagnostics expose.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Callable
 
 import numpy as np
 
 from .fields import LinearField, _cumtrapz, _trapezoid_weights
 from .paths import TimeGrid
-
-if TYPE_CHECKING:  # pragma: no cover
-    from scipy.sparse.linalg import LinearOperator
 
 
 @dataclass(frozen=True)
@@ -120,18 +116,17 @@ def _cumtrapz_adjoint(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def discretized_operator(grid: TimeGrid) -> "LinearOperator":
+def discretized_operator(grid: TimeGrid) -> Callable[[np.ndarray], np.ndarray]:
     """Symmetrized discretization of gamma -> int_0^t int_s^1 gamma(r) dr ds.
 
     Composite trapezoidal double integration: with C the cumulative
     trapezoid map and w the trapezoidal weights, the inner integral from s
     to 1 is total minus cumulative, M = C (1 w^T - C).  The continuous
     operator is self-adjoint, so any asymmetry is pure discretization error
-    and the operator returned is (M + M^T) / 2.  It is matrix-free: each
-    product costs two cumulative sums and two of their transposes, O(N).
+    and the function returned is the product v -> (M + M^T) v / 2 on
+    vectors of the N + 1 node values.  It is matrix-free: each product
+    costs two cumulative sums and two of their transposes, O(N).
     """
-    from scipy.sparse.linalg import LinearOperator
-
     dt = grid.dt
     weights = _trapezoid_weights(grid)
 
@@ -142,8 +137,7 @@ def discretized_operator(grid: TimeGrid) -> "LinearOperator":
         mt_v = weights * ct_v.sum() - _cumtrapz_adjoint(ct_v, dt)
         return 0.5 * (m_v + mt_v)
 
-    dim = grid.num_steps + 1
-    return LinearOperator((dim, dim), matvec=matvec, dtype=float)
+    return matvec
 
 
 def _operator_trace(grid: TimeGrid) -> float:
@@ -157,6 +151,51 @@ def _operator_trace(grid: TimeGrid) -> float:
     return float(ct_one @ _trapezoid_weights(grid) - grid.num_steps * (0.5 * grid.dt) ** 2)
 
 
+def _lanczos(
+    matvec: Callable[[np.ndarray], np.ndarray], start: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top ``count`` eigenpairs of a symmetric operator, largest first.
+
+    Lanczos with full reorthogonalization: each new direction goes through
+    two classical Gram-Schmidt passes against the whole Krylov basis, which
+    grows by one row per step.  From step ``count`` on, the Ritz pairs of
+    the k x k tridiagonal T_k are recomputed after every step; the loop
+    stops once every top pair has residual |beta_k s_{k,i}| <= 1e-15
+    theta_max, when the basis spans the space, or on an exact breakdown
+    beta_k = 0 (an invariant Krylov space).
+    """
+    dim = start.size
+    basis = np.empty((min(dim, 4 * count), dim))
+    alpha: list[float] = []
+    beta: list[float] = []
+    q = start / np.linalg.norm(start)
+    for k in range(1, dim + 1):
+        if k > len(basis):
+            basis = np.concatenate([basis, np.empty((min(k - 1, dim - k + 1), dim))])
+        basis[k - 1] = q
+        span = basis[:k]
+        w = matvec(q)
+        a = 0.0
+        for _ in range(2):
+            coef = span @ w
+            w -= coef @ span
+            a += coef[-1]
+        alpha.append(a)
+        beta.append(float(np.linalg.norm(w)))
+        stop = k == dim or beta[-1] == 0.0
+        if k >= count or stop:
+            tri = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+            theta, s = np.linalg.eigh(tri)
+            resid = np.abs(beta[-1] * s[-1, -count:])
+            stop = stop or bool(np.all(resid <= 1e-15 * theta[-1]))
+        if stop:
+            break
+        q = w / beta[-1]
+    if k < count:
+        raise ArithmeticError(f"Krylov space closed after {k} steps, below count {count}")
+    return theta[::-1][:count], span.T @ s[:, ::-1][:, :count]
+
+
 def discretized_L_spectrum(
     field: LinearField, grid: TimeGrid, count: int
 ) -> SpectrumReport:
@@ -164,9 +203,9 @@ def discretized_L_spectrum(
 
     The 2x2 block structure is handled by diagonalizing A first and scaling
     one scalar eigenproblem by each a_j.  The scalar problem is solved by
-    ARPACK's implicitly restarted Lanczos (``eigsh``) from a fixed start
-    vector, so reruns are byte-identical; eigenvalues come in decreasing
-    order and each eigenvector is signed positive at t = 1.
+    numpy Lanczos with full reorthogonalization (``_lanczos``) from a fixed
+    start vector, so reruns are byte-identical; eigenvalues come in
+    decreasing order and each eigenvector is signed positive at t = 1.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -174,18 +213,12 @@ def discretized_L_spectrum(
         raise ValueError(
             f"count {count} exceeds the rank of a grid with {grid.num_steps} cells"
         )
-    from scipy.sparse.linalg import eigsh
-
     form = matrix_A(field)
     report = closed_form_spectrum(form, count)
-    op = discretized_operator(grid)
-    # ARPACK's default start vector is random; a fixed generic one keeps
-    # reruns byte-identical
-    v0 = np.random.default_rng(0).standard_normal(op.shape[0])
-    vals, vecs = eigsh(op, k=count, which="LA", tol=0, v0=v0)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order] * np.where(vecs[-1, order] < 0.0, -1.0, 1.0)
+    # a fixed generic start vector keeps reruns byte-identical
+    start = np.random.default_rng(0).standard_normal(grid.num_steps + 1)
+    vals, vecs = _lanczos(discretized_operator(grid), start, count)
+    vecs *= np.where(vecs[-1] < 0.0, -1.0, 1.0)
     numeric = form.eigenvalues[None, :] * vals[:, None]
     return SpectrumReport(
         form=form,
@@ -213,6 +246,8 @@ def trace_class_diagnostic(form: QuadraticFormMatrix, n_terms: int) -> np.ndarra
 
 def eigenvalue_partial_sums(form: QuadraticFormMatrix, n_terms: int) -> np.ndarray:
     """Partial sums of the eigenvalues themselves (the convergent contrast)."""
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     modes = np.arange(n_terms)
     denom = math.pi**2 * (1 + 2 * modes) ** 2
     terms = 4.0 * form.eigenvalues.sum() / denom

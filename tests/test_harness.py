@@ -2,10 +2,13 @@ import importlib
 import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ogawa_lab
 from ogawa_lab import (
@@ -24,9 +27,11 @@ from ogawa_lab import (
     sample_brownian,
 )
 from ogawa_lab import cli
+from ogawa_lab.bases import EnumerationOrder
 from ogawa_lab.cli import main
 from ogawa_lab.fields import RamerCheck
 from ogawa_lab.harness import (
+    CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
     compare_with_expectations,
@@ -100,6 +105,74 @@ class TestConfig:
         cfg = ExperimentConfig(basis_a="wavelets", paths=2, grid=64, schedule=(2,))
         with pytest.raises(ConfigError, match="unknown basis"):
             run_convergence(cfg)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+COEFFS = st.tuples(FINITE, FINITE, FINITE, FINITE)
+
+
+def linear_spec(coeffs) -> str:
+    return "linear:" + ",".join(repr(x) for x in coeffs)
+
+
+LINEAR_SPECS = COEFFS.map(linear_spec)
+ORDER_SPECS = st.just("balanced") | st.integers(1, 10**9).map(lambda k: f"adversarial:{k}")
+BASIS_SPECS = st.sampled_from(["psi-trig", "xi-mixed", "haar", "plin"]) | st.integers(
+    1, 4096
+).map(lambda level: f"plin:{level}")
+# '#' starts a comment and the ends of a value are stripped, so a path
+# value holds neither
+OUT_PATHS = st.from_regex(r"[A-Za-z0-9_./-]([A-Za-z0-9_ ./-]*[A-Za-z0-9_./-])?", fullmatch=True)
+CONFIGS = st.builds(
+    ExperimentConfig,
+    field=st.just("id1d") | LINEAR_SPECS,
+    basis_a=BASIS_SPECS,
+    basis_b=st.none() | BASIS_SPECS,
+    order_a=ORDER_SPECS,
+    order_b=st.none() | ORDER_SPECS,
+    grid=st.integers(1, 2**20),
+    paths=st.integers(1, 10**7),
+    seed=st.integers(0, 2**63 - 1),
+    schedule=st.lists(st.integers(1, 10**6), min_size=1, max_size=6, unique=True).map(
+        lambda entries: tuple(sorted(entries))
+    ),
+    out=st.none() | OUT_PATHS,
+)
+
+
+class TestConfigRoundTrip:
+    """Writing a config as ``key = value`` lines and parsing it back is exact."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(CONFIGS)
+    def test_config_file_round_trip(self, cfg):
+        lines = []
+        for key, spec in CONFIG_KEYS.items():
+            value = getattr(cfg, spec.attr)
+            if value is None:
+                continue
+            if key == "schedule":
+                value = ",".join(str(n) for n in value)
+            lines.append(f"{key} = {value}\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_file = Path(tmp) / "exp.cfg"
+            cfg_file.write_text("".join(lines))
+            parsed = config_from_mapping(parse_config_file(cfg_file))
+        harness.validate_config(parsed)
+        assert parsed == cfg
+        assert parsed.key() == cfg.key()
+
+    @settings(max_examples=60, deadline=None)
+    @given(ORDER_SPECS)
+    def test_order_spec_round_trip(self, spec):
+        assert EnumerationOrder.parse(spec).spec == spec
+
+    @settings(max_examples=60, deadline=None)
+    @given(COEFFS)
+    def test_linear_field_spec_round_trip(self, coeffs):
+        fld = field_from_name(linear_spec(coeffs))
+        got = (fld.h1, fld.k1, fld.h2, fld.k2)
+        assert np.array(got).tobytes() == np.array(coeffs).tobytes()
 
 
 def test_benchmark_configs_resolve(monkeypatch):

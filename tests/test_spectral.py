@@ -2,11 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 import ogawa_lab
 from ogawa_lab import (
@@ -21,7 +23,7 @@ from ogawa_lab import (
     sample_brownian,
     trace_class_diagnostic,
 )
-from ogawa_lab.spectral import discretized_operator
+from ogawa_lab.spectral import _lanczos, discretized_operator
 
 from oracles import eigenfunction_values
 
@@ -149,7 +151,7 @@ class TestMatrixFreeOperator:
         op = discretized_operator(grid)
         v = np.random.default_rng(steps).standard_normal(steps + 1)
         ref = dense @ v
-        assert np.abs(op.matvec(v) - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(op(v) - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("steps, count", [(8, 3), (8, 8), (64, 8), (1024, 8)])
     def test_eigenvalues_match_dense(self, steps, count):
@@ -175,17 +177,62 @@ class TestMatrixFreeOperator:
         assert np.all(first.scalar_eigenvectors[-1] > 0.0)
 
 
+class TestLanczos:
+    """The numpy Lanczos solve against ARPACK, the route it replaced."""
+
+    @pytest.mark.parametrize("steps", [1024, 4096])
+    def test_matches_arpack(self, steps):
+        grid = TimeGrid(steps)
+        op = discretized_operator(grid)
+        dim = steps + 1
+        v0 = np.random.default_rng(0).standard_normal(dim)
+        arpack = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=op, dtype=float)
+        vals, vecs = scipy.sparse.linalg.eigsh(arpack, k=8, which="LA", tol=0, v0=v0)
+        order = np.argsort(vals)[::-1]
+        vals = vals[order]
+        vecs = vecs[:, order] * np.where(vecs[-1, order] < 0.0, -1.0, 1.0)
+        rep = discretized_L_spectrum(IDENTITY, grid, 8)
+        assert np.all(np.abs(rep.numeric[:, 0] - vals) <= 1e-12 * vals)
+        # the top nine eigenvalues are apart by at least 1e-3 of the largest,
+        # so both routes pin the vectors to about 1e-13
+        assert np.abs(rep.scalar_eigenvectors - vecs).max() <= 1e-11
+
+    def test_memory_stays_linear_in_grid(self):
+        # the Krylov basis holds one row per step; a dense (N+1)^2 basis
+        # on this grid would be 134 MB
+        tracemalloc.start()
+        try:
+            discretized_L_spectrum(IDENTITY, TimeGrid(4096), 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_breakdown_below_count_raises(self):
+        # e_0 spans an invariant space of 2 I: beta_1 is exactly 0
+        start = np.zeros(4)
+        start[0] = 1.0
+        vals, vecs = _lanczos(lambda v: 2.0 * v, start, 1)
+        assert np.array_equal(vals, [2.0]) and np.array_equal(vecs[:, 0], start)
+        with pytest.raises(ArithmeticError, match="below count 2"):
+            _lanczos(lambda v: 2.0 * v, start, 2)
+
+
 def test_import_does_not_load_scipy_solvers():
     src = str(Path(ogawa_lab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
         "import sys, ogawa_lab; "
-        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "print(loaded()); "
+        "ogawa_lab.discretized_L_spectrum("
+        "ogawa_lab.LinearField(1, 0, 0, 1), ogawa_lab.TimeGrid(64), 3); "
+        "print(loaded())"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "[]"]
 
 
 class TestTraceClassDiagnostic:
@@ -214,3 +261,9 @@ class TestTraceClassDiagnostic:
         assert abs(sums[-1] - target) <= 1e-3
         fld_hs = (0.3**2 + 1.1**2 + 0.7**2 + 0.5**2) / 2
         assert target == pytest.approx(fld_hs, abs=1e-12)
+
+    @pytest.mark.parametrize("n_terms", [0, -1])
+    @pytest.mark.parametrize("partial_sums", [trace_class_diagnostic, eigenvalue_partial_sums])
+    def test_n_terms_must_be_positive(self, partial_sums, n_terms):
+        with pytest.raises(ValueError, match="n_terms must be >= 1"):
+            partial_sums(matrix_A(IDENTITY), n_terms)
